@@ -17,7 +17,7 @@ from qwalk import (
     ProbabilityVector,
     assemble_shift,
     basis_state,
-    classical_walk,
+    classical_trajectory,
     evolution,
     evolve,
     measure_position,
@@ -58,8 +58,8 @@ def main() -> None:
     p0 = np.zeros(args.n)
     p0[args.start] = 1.0
     classical_rows = []
-    for t in range(args.steps + 1):
-        dist = classical_walk(adjacency, ProbabilityVector(p0), t)
+    for t, dist in enumerate(
+            classical_trajectory(adjacency, ProbabilityVector(p0), args.steps)):
         classical_rows.extend((t, k, float(dist.probs[k])) for k in range(args.n))
 
     args.out_dir.mkdir(parents=True, exist_ok=True)

@@ -48,6 +48,7 @@ from .walk import (
     evolve,
     measure_position,
     classical_transition,
+    classical_trajectory,
     classical_walk,
 )
 from .errors import (

@@ -20,7 +20,7 @@ from .coins import CoinSpec, coin_matrix, evolution, named_coin, NAMED_COINS
 from .errors import FileFormatError, NonUnitaryError, PreconditionError
 from .linalg import Tolerance, max_norm, require_unitary
 from .shift import assemble_shift, decompose_permutations, extract_graph, verify_kraus
-from .walk import classical_walk, measure_position, step
+from .walk import classical_trajectory, measure_position, step
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -33,11 +33,13 @@ def _tol(args) -> Tolerance:
     return Tolerance(abs_eps=args.tol) if args.tol is not None else Tolerance()
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _nonneg(kind):
+    def parse(text: str):
+        value = kind(text)
+        if not value >= 0:  # also rejects NaN
+            raise argparse.ArgumentTypeError("must be nonnegative")
+        return value
+    return parse
 
 
 def cmd_decompose(args) -> int:
@@ -90,17 +92,6 @@ def cmd_evolve_op(args) -> int:
     return EXIT_OK
 
 
-def _distribution_rows(u, state, steps, trajectory):
-    rows = []
-    for t in range(steps + 1):
-        if t > 0:
-            state = step(u, state)
-        if trajectory or t == steps:
-            dist = measure_position(state)
-            rows.extend((t, k, float(dist.probs[k])) for k in range(dist.n))
-    return rows, state
-
-
 def cmd_walk(args) -> int:
     operator = fileio.load_matrix(args.operator)
     state = fileio.load_state(args.state)
@@ -114,9 +105,15 @@ def cmd_walk(args) -> int:
         raise PreconditionError(
             f"operator dimension {operator.shape[0]} does not match state "
             f"dimension {state.m * state.n}")
-    rows, final = _distribution_rows(operator, state, args.steps, args.trajectory)
+    rows = []
+    for t in range(args.steps + 1):
+        if t > 0:
+            state = step(operator, state)
+        if args.trajectory or t == args.steps:
+            dist = measure_position(state)
+            rows.extend((t, k, float(dist.probs[k])) for k in range(dist.n))
     fileio.write_distribution_csv(rows, args.out)
-    total = float(np.sum(np.abs(final.amplitudes) ** 2))
+    total = float(np.sum(np.abs(state.amplitudes) ** 2))
     print(f"total probability = {fileio.fmt_float(total)}")
     return EXIT_OK
 
@@ -125,13 +122,11 @@ def cmd_classical(args) -> int:
     a = fileio.load_matrix(args.adjacency)
     p0 = fileio.load_probability_vector(args.init)
     rows = []
-    for t in range(args.steps + 1):
+    for t, dist in enumerate(classical_trajectory(a, p0, args.steps)):
         if args.trajectory or t == args.steps:
-            dist = classical_walk(a, p0, t)
             rows.extend((t, k, float(dist.probs[k])) for k in range(dist.n))
     fileio.write_distribution_csv(rows, args.out)
-    final = classical_walk(a, p0, args.steps)
-    print(f"total probability = {fileio.fmt_float(float(final.probs.sum()))}")
+    print(f"total probability = {fileio.fmt_float(float(dist.probs.sum()))}")
     return EXIT_OK
 
 
@@ -185,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--tol", type=float, default=None,
+        p.add_argument("--tol", type=_nonneg(float), default=None,
                        help="absolute tolerance override")
         return p
 
@@ -219,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="initial state file")
     p.add_argument("--coin", default=None,
                    help="coin spec file; composes with the operator first")
-    p.add_argument("--steps", type=_nonneg_int, required=True)
+    p.add_argument("--steps", type=_nonneg(int), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trajectory", action="store_true",
                    help="record every step, not just the final one")
@@ -228,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run the classical random-walk baseline with the same CSV schema")
     p.add_argument("adjacency")
     p.add_argument("init", help="initial probability vector file")
-    p.add_argument("--steps", type=_nonneg_int, required=True)
+    p.add_argument("--steps", type=_nonneg(int), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trajectory", action="store_true")
 

@@ -120,13 +120,16 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
 
 def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
               tol: Tolerance = DEFAULT_TOL) -> ComplexMatrix:
-    """One-step evolution operator: the shift applied after the coin."""
+    """One-step evolution operator S (C (x) I_n): the shift applied after
+    the coin, in O(m^3 n^2) on the (m, n, m, n) view of S."""
     s = shift.matrix if isinstance(shift, ShiftOperator) else as_matrix(shift)
-    c = coin_matrix(spec)
-    if s.shape != c.shape:
+    m, n = spec.m, spec.n
+    if s.shape != (m * n, m * n):
         raise PreconditionError(
-            f"shift {s.shape} and coin {c.shape} dimensions disagree")
-    u = s @ c
+            f"shift {s.shape} and coin {(m * n, m * n)} dimensions disagree")
+    coins = (np.stack(spec.matrices) if spec.per_vertex
+             else np.broadcast_to(spec.matrices[0], (n, m, m)))  # coin of vertex b
+    u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins).reshape(m * n, m * n)
     require_unitary(u, tol, "evolution operator")
     return u
 

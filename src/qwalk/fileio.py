@@ -68,7 +68,10 @@ def matrix_from_obj(obj) -> ComplexMatrix:
         raise FileFormatError(
             f"matrix has {len(entries)} entries, expected {rows * cols}")
     flat = [_pair_to_complex(e) for e in entries]
-    return as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))
+    try:
+        return as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))
+    except ValueError as exc:  # NaN or Inf entries
+        raise FileFormatError(str(exc)) from exc
 
 
 def matrix_to_obj(a: ComplexMatrix) -> dict:
@@ -124,6 +127,8 @@ def load_grid(path) -> KrausGrid:
         m, n, rows = obj["m"], obj["n"], obj["blocks"]
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed grid file: {exc}") from exc
+    if not (isinstance(m, int) and isinstance(n, int)):
+        raise FileFormatError("grid m/n must be integers")
     blocks = tuple(tuple(matrix_from_obj(b) for b in row) for row in rows)
     return KrausGrid(m, n, blocks)
 

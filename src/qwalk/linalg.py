@@ -87,8 +87,14 @@ def max_norm(a) -> float:
 
 
 def unitarity_residual(a: ComplexMatrix) -> float:
-    """max-norm of a†a - I; zero iff the columns are orthonormal."""
+    """max-norm of a†a - I; zero iff the columns are orthonormal. Exact
+    and O(N) for monomial matrices (one nonzero per row and column, e.g.
+    permutation shifts), whose a†a is diagonal with entries |a_ij|^2."""
     a = _require_square(a)
+    nonzero = a != 0
+    if (np.count_nonzero(nonzero) == a.shape[0]
+            and nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
+        return max_norm(np.abs(a[nonzero]) ** 2 - 1.0)
     return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
 
 
@@ -101,7 +107,6 @@ def require_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL,
     """Return ``a`` unchanged, raising NonUnitaryError past tolerance."""
     from .errors import NonUnitaryError
 
-    a = _require_square(a)
     r = unitarity_residual(a)
     if r > tol.abs_eps:
         raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)

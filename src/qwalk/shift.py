@@ -17,6 +17,7 @@ obtained by transposing at the graph boundary only.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,6 +32,7 @@ from .linalg import (
     block_partition,
     max_norm,
     require_unitary,
+    unitarity_residual,
 )
 
 __all__ = [
@@ -84,40 +86,23 @@ class KrausGrid:
         total = np.zeros((self.n, self.n), dtype=np.complex128)
         for row in self.blocks:
             for b in row:
-                total = total + b
+                total += b
         return total
 
-    def column_completeness_residual(self) -> float:
-        """max over (j,k) of |sum_i blocks[i][j]^dag blocks[i][k] - I djk|.
+    @cached_property
+    def _matrix(self) -> ComplexMatrix:
+        """The assembled nm x nm matrix S, built once per grid."""
+        return assemble_blocks(self.blocks)
 
-        Zero iff each block column is a complete Kraus set, which is the
-        unitarity of the assembled shift.
-        """
-        worst = 0.0
-        for j in range(self.m):
-            for k in range(self.m):
-                acc = sum(self.blocks[i][j].conj().T @ self.blocks[i][k]
-                          for i in range(self.m))
-                worst = max(worst, max_norm(acc - self._delta(j, k)))
-        return worst
+    def column_completeness_residual(self) -> float:
+        """max over (j,k) of |sum_i blocks[i][j]^dag blocks[i][k] - I djk|, i.e.
+        of S^dag S - I: zero iff each block column is a complete Kraus set."""
+        return unitarity_residual(self._matrix)
 
     def row_completeness_residual(self) -> float:
-        """max over (j,k) of |sum_i blocks[j][i] blocks[k][i]^dag - I djk|.
-
-        The column relation applied to the transpose of the assembled
-        shift (transposing the inner blocks along with the grid), i.e.
-        completeness of each block row.
-        """
-        worst = 0.0
-        for j in range(self.m):
-            for k in range(self.m):
-                acc = sum(self.blocks[j][i] @ self.blocks[k][i].conj().T
-                          for i in range(self.m))
-                worst = max(worst, max_norm(acc - self._delta(j, k)))
-        return worst
-
-    def _delta(self, j: int, k: int):
-        return np.eye(self.n) if j == k else 0.0
+        """max over (j,k) of |sum_i blocks[j][i] blocks[k][i]^dag - I djk|,
+        i.e. of S S^dag - I: completeness of each block row."""
+        return unitarity_residual(self._matrix.conj().T)
 
 
 @dataclass(frozen=True)
@@ -167,26 +152,24 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise PreconditionError("adjacency matrix must be square")
-    if max_norm(a.imag) > 0 or np.any(a.real < 0) or np.any(a.real != np.round(a.real)):
+    if np.any(a.imag != 0) or np.any(a.real < 0) or np.any(a.real != np.round(a.real)):
         raise PreconditionError("entries must be nonnegative integers")
-    counts = a.real.astype(np.int64)
-    row_sums = counts.sum(axis=1)
-    col_sums = counts.sum(axis=0)
+    target = a.real.T.astype(np.int64, order="C")  # counts of A^T
+    row_sums = target.sum(axis=0)
+    col_sums = target.sum(axis=1)
     d = int(row_sums[0])
     if d < 1 or np.any(row_sums != d) or np.any(col_sums != d):
         raise PreconditionError(
             "matrix is not regular: row sums "
             f"{row_sums.tolist()}, column sums {col_sums.tolist()}")
 
-    target = counts.T.copy()
     n = target.shape[0]
     perms: list[ComplexMatrix] = []
     for _ in range(d):
         match = _perfect_matching(target)
         p = np.zeros((n, n), dtype=np.complex128)
-        for r, c in enumerate(match):
-            p[r, c] = 1.0
-            target[r, c] -= 1
+        p[np.arange(n), match] = 1.0
+        target[np.arange(n), match] -= 1
         perms.append(p)
 
     zero = np.zeros((n, n), dtype=np.complex128)
@@ -197,30 +180,33 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
 
 def _perfect_matching(counts: np.ndarray) -> list[int]:
     """Row -> column perfect matching on the nonzero pattern of a
-    nonnegative integer matrix, via augmenting paths (Kuhn).
-
-    Guaranteed to exist for regular matrices (Hall/Koenig), so failure is
-    an internal error rather than a user-facing precondition.
+    nonnegative integer matrix, via augmenting paths (Kuhn), iteratively
+    since the paths can outgrow the recursion limit. A matching exists
+    for regular matrices (Hall/Koenig), so failure is an internal error.
     """
     n = counts.shape[0]
-    col_owner = [-1] * n
-
-    def try_row(r: int, visited: set[int]) -> bool:
-        for c in range(n):
-            if counts[r, c] > 0 and c not in visited:
-                visited.add(c)
-                if col_owner[c] == -1 or try_row(col_owner[c], visited):
-                    col_owner[c] = r
-                    return True
-        return False
-
-    for r in range(n):
-        if not try_row(r, set()):
+    rows, cols = np.nonzero(counts)
+    adj = [c.tolist() for c in np.split(cols, np.searchsorted(rows, np.arange(1, n)))]
+    owner, match = [-1] * n, [-1] * n  # row of each column, column of each row
+    seen, via = [-1] * n, [-1] * n     # last root to reach each column, from which row
+    for root in range(n):
+        stack = [(root, iter(adj[root]))]
+        while stack:
+            r, row_cols = stack[-1]
+            c = next((c for c in row_cols if seen[c] != root), None)
+            if c is None:  # dead end: the previous row tries its next column
+                stack.pop()
+                continue
+            seen[c], via[c] = root, r
+            if owner[c] == -1:
+                break
+            stack.append((owner[c], iter(adj[owner[c]])))
+        else:
             raise RuntimeError("no perfect matching in a regular matrix "
                                "(internal invariant violated)")
-    match = [-1] * n
-    for c, r in enumerate(col_owner):
-        match[r] = c
+        while c != -1:  # flip the augmenting path back to the root
+            r = via[c]
+            owner[c], match[r], c = r, c, match[r]
     return match
 
 
@@ -258,9 +244,7 @@ def assemble_shift(grid: KrausGrid, tol: Tolerance = DEFAULT_TOL) -> ShiftOperat
             "grid violates completeness relations (column residual "
             f"{report.column_residual:.3e}, row residual {report.row_residual:.3e})",
             max(report.column_residual, report.row_residual))
-    s = assemble_blocks(grid.blocks)
-    require_unitary(s, tol, "assembled shift operator")
-    return ShiftOperator(grid, s)
+    return ShiftOperator(grid, grid._matrix)
 
 
 def extract_graph(u: ComplexMatrix, m: int,
@@ -279,12 +263,7 @@ def extract_graph(u: ComplexMatrix, m: int,
     arcs: list[Arc] = []
     for j in range(grid.m):
         # graph-side adjacency of coin j: sum over rows, transposed
-        col_adj = np.zeros((n, n), dtype=np.complex128)
-        for i in range(grid.m):
-            col_adj += grid.blocks[i][j].T
-        for r in range(n):
-            for c in range(n):
-                w = col_adj[r, c]
-                if abs(w) >= tol.abs_eps:
-                    arcs.append(Arc(r, c, complex(w), coin_tag=j))
+        col_adj = sum(grid.blocks[i][j] for i in range(grid.m)).T
+        arcs.extend(Arc(r, c, complex(col_adj[r, c]), coin_tag=j)
+                    for r, c in np.argwhere(np.abs(col_adj) >= tol.abs_eps).tolist())
     return grid, MultiGraph(n, tuple(arcs))

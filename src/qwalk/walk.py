@@ -5,6 +5,7 @@ Amplitude layout is coin-major: index = coin * n + vertex, so the state
 vector is m stacked position subvectors of length n.
 """
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +22,7 @@ __all__ = [
     "evolve",
     "measure_position",
     "classical_transition",
+    "classical_trajectory",
     "classical_walk",
 ]
 
@@ -94,8 +96,9 @@ def basis_state(m: int, n: int, coin: int, vertex: int) -> WalkerState:
 
 
 def step(u: ComplexMatrix, s: WalkerState) -> WalkerState:
-    """Apply the evolution operator once."""
-    u = as_matrix(u)
+    """Apply the evolution operator once. U is not scanned: a NaN/Inf in
+    it reaches the product (NaN*x, Inf*0 are NaN), which WalkerState rejects."""
+    u = np.asarray(u, dtype=np.complex128)
     if u.shape != (s.m * s.n, s.m * s.n):
         raise PreconditionError(
             f"operator shape {u.shape} does not match state dimension {s.m * s.n}")
@@ -136,16 +139,25 @@ def classical_transition(a: ComplexMatrix) -> ComplexMatrix:
     return (a.real / degrees[:, None]).astype(np.complex128)
 
 
-def classical_walk(a: ComplexMatrix, p0: ProbabilityVector, t: int,
-                   tol: Tolerance = DEFAULT_TOL) -> ProbabilityVector:
-    """Distribution after t steps of the update rule P <- M^T P."""
+def classical_trajectory(a: ComplexMatrix, p0: ProbabilityVector,
+                         t: int) -> Iterator[ProbabilityVector]:
+    """Yield the distributions after 0, 1, ..., t steps of the update
+    rule P <- M^T P, in one pass."""
     if t < 0:
         raise PreconditionError("step count must be nonnegative")
-    mt = classical_transition(a).real.T
+    mt = np.ascontiguousarray(classical_transition(a).real.T)
     if mt.shape[0] != p0.n:
         raise PreconditionError(
             f"adjacency dimension {mt.shape[0]} does not match p0 length {p0.n}")
-    p = p0.probs
+    yield p0
     for _ in range(t):
-        p = mt @ p
-    return ProbabilityVector(p)
+        p0 = ProbabilityVector(mt @ p0.probs)
+        yield p0
+
+
+def classical_walk(a: ComplexMatrix, p0: ProbabilityVector, t: int,
+                   tol: Tolerance = DEFAULT_TOL) -> ProbabilityVector:
+    """Distribution after t steps of the update rule P <- M^T P."""
+    for dist in classical_trajectory(a, p0, t):
+        pass
+    return dist

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from qwalk import (
     adjacency,
     assemble_shift,
     basis_state,
+    classical_walk,
     max_norm,
 )
 from qwalk import fileio
@@ -164,6 +167,21 @@ class TestClassical:
         lines = out.read_text().splitlines()
         assert lines[1:] == ["2,0,0.5", "2,1,0", "2,2,0.5", "2,3,0"]
 
+    def test_trajectory_matches_per_t_walks(self, tmp_path):
+        a = np.ones((5, 5)) + np.eye(5)
+        p0 = ProbabilityVector(np.array([0.25, 0.75, 0, 0, 0]))
+        adj = write_matrix(tmp_path, "a.json", a)
+        p0_path = tmp_path / "p0.json"
+        fileio.save_probability_vector(p0, p0_path)
+        out = tmp_path / "cl.csv"
+        assert main(["classical", adj, str(p0_path), "--steps", "15",
+                     "--out", str(out), "--trajectory"]) == 0
+        rows = [(t, k, float(p)) for t in range(16)
+                for k, p in enumerate(classical_walk(a, p0, t).probs)]
+        expected = tmp_path / "expected.csv"
+        fileio.write_distribution_csv(rows, expected)
+        assert out.read_bytes() == expected.read_bytes()
+
     def test_zero_row_exits_2(self, tmp_path):
         a = np.eye(3)
         a[1, 1] = 0
@@ -219,6 +237,36 @@ class TestCompile:
                      "--out", str(out)]) == 0
         from qwalk import is_unitary
         assert is_unitary(fileio.load_matrix(out))
+
+
+class TestBadInput:
+    def test_non_finite_matrix_entry_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "nan.json"
+        entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]]
+        path.write_text(json.dumps({"rows": 2, "cols": 2, "entries": entries}))
+        assert main(["extract", str(path), "--m", "1",
+                     "--out", str(tmp_path / "g.json")]) == 1
+        err = capsys.readouterr().err
+        assert "NaN or Inf" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["-0.001", "nan"])
+    def test_bad_tolerance_rejected_by_parser(self, tmp_path, capsys, tol):
+        adj = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", adj, "--tol", tol, "--out", str(tmp_path / "u.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--tol" in err and "Traceback" not in err
+
+    def test_non_integer_grid_size_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        fileio.save_grid(cycle_shift_grid(4), path)
+        obj = json.loads(path.read_text())
+        obj["m"] = "2"
+        path.write_text(json.dumps(obj))
+        assert main(["verify", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "integers" in err and "Traceback" not in err
 
 
 def test_decompose_verify_roundtrip_always_passes(tmp_path, rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_shift_grid, haar_unitary, right_shift
 from qwalk import (
@@ -9,6 +11,7 @@ from qwalk import (
     assemble_shift,
     coin_matrix,
     column_adjacency,
+    decompose_permutations,
     evolution,
     is_unitary,
     kron,
@@ -159,3 +162,19 @@ def test_coin_breaks_adjacency_recovery(c4_shift):
     a_t = c4_shift.grid.block_sum()
     u_sum = KrausGrid.from_matrix(u, 2).block_sum()
     assert max_norm(u_sum - a_t) > 0.1
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12),
+       st.sampled_from(["grover", "dft", "per_vertex"]))
+@settings(max_examples=40, deadline=None)
+def test_factored_evolution_matches_dense_product(seed, d, n, coin):
+    rng = np.random.default_rng(seed)
+    a = sum(np.eye(n)[rng.permutation(n)] for _ in range(d))
+    shift = assemble_shift(decompose_permutations(a))
+    if coin == "per_vertex":
+        spec = CoinSpec.per_vertex_coins(
+            [haar_unitary(d, rng) for _ in range(n)], d, n)
+    else:
+        spec = CoinSpec.global_coin(named_coin(coin, d), n)
+    u = evolution(shift, spec)
+    assert max_norm(u - shift.matrix @ coin_matrix(spec)) <= 1e-12

@@ -13,6 +13,7 @@ from qwalk import (
     matmul,
     matpow,
     max_norm,
+    unitarity_residual,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -148,3 +149,36 @@ def test_tolerance_validation():
 def test_as_matrix_rejects_nan():
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
+
+
+def dense_unitarity_residual(a) -> float:
+    return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
+
+
+def phase_permutation(n: int, rng) -> np.ndarray:
+    p = np.zeros((n, n), dtype=np.complex128)
+    p[np.arange(n), rng.permutation(n)] = np.exp(2j * np.pi * rng.random(n))
+    return p
+
+
+class TestMonomialUnitarityResidual:
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 40))
+    @settings(max_examples=40, deadline=None)
+    def test_phase_permutations_match_dense_formula(self, seed, n):
+        rng = np.random.default_rng(seed)
+        p = phase_permutation(n, rng)
+        p[rng.integers(n), :] *= rng.uniform(0.5, 1.5)
+        assert unitarity_residual(p) == pytest.approx(
+            dense_unitarity_residual(p), rel=1e-14, abs=1e-15)
+        assert unitarity_residual(p.conj().T) == pytest.approx(
+            dense_unitarity_residual(p.conj().T), rel=1e-14, abs=1e-15)
+
+    def test_scaled_entry(self, rng):
+        p = phase_permutation(16, rng)
+        p[np.nonzero(p[:, 3])[0][0], 3] *= 1 + 1e-3
+        assert unitarity_residual(p) == pytest.approx(2.001e-3, rel=1e-6)
+
+    def test_two_nonzeros_in_a_row_take_dense_path(self):
+        # n nonzeros but row 1 is empty: the monomial formula would give 0
+        a = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=np.complex128)
+        assert unitarity_residual(a) == dense_unitarity_residual(a) == 1.0

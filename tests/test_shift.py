@@ -72,6 +72,16 @@ class TestDecomposePermutations:
         for i in range(g1.m):
             assert np.array_equal(g1.blocks[i][i], g2.blocks[i][i])
 
+    def test_long_augmenting_paths_do_not_recurse(self):
+        n = 3000
+        rng = np.random.default_rng(3000)
+        a = np.zeros((n, n), dtype=np.complex128)
+        for _ in range(3):
+            a[np.arange(n), rng.permutation(n)] += 1
+        grid = decompose_permutations(a)
+        assert grid.m == 3
+        assert np.array_equal(grid.block_sum(), a.T)
+
     def test_output_satisfies_completeness(self):
         grid = decompose_permutations(cycle_adjacency(6))
         assert grid.column_completeness_residual() == 0

@@ -76,6 +76,21 @@ class TestStep:
         assert max_norm(out.amplitudes - expected) <= 1e-12
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_non_finite_operator_entry_raises(self, bad, order):
+        # the bad entry sits in a column where psi is exactly 0
+        u = np.eye(8, dtype=np.complex128, order=order)
+        u[0, 7] = bad
+        with pytest.raises(PreconditionError, match="NaN or Inf"):
+            step(u, basis_state(2, 4, 0, 0))
+
+    def test_shape_mismatch(self):
+        with pytest.raises(PreconditionError):
+            step(np.eye(6), basis_state(2, 4, 0, 0))
+
+
 class TestEvolve:
     def test_zero_steps(self):
         s = basis_state(2, 4, 0, 0)

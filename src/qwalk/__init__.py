@@ -5,14 +5,11 @@ from .linalg import (
     Tolerance,
     DEFAULT_TOL,
     as_matrix,
-    matmul,
     kron,
     matpow,
     max_norm,
     is_unitary,
     unitarity_residual,
-    block_partition,
-    assemble_blocks,
 )
 from .graphs import (
     Arc,

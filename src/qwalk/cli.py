@@ -99,8 +99,9 @@ def cmd_walk(args) -> int:
     if args.coin is not None:
         spec = fileio.load_coin_spec(args.coin)
         require_unitary(operator, tol, "shift operator")
-        operator = evolution(operator, spec, tol)
-    require_unitary(operator, tol, "walk operator")
+        operator = evolution(operator, spec, tol)  # checks U itself
+    else:
+        require_unitary(operator, tol, "walk operator")
     if operator.shape[0] != state.m * state.n:
         raise PreconditionError(
             f"operator dimension {operator.shape[0]} does not match state "

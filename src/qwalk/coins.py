@@ -16,10 +16,9 @@ from .linalg import (
     Tolerance,
     DEFAULT_TOL,
     as_matrix,
-    kron,
     require_unitary,
 )
-from .shift import ShiftOperator
+from .shift import KrausGrid, ShiftOperator
 
 __all__ = [
     "CoinSpec",
@@ -101,21 +100,23 @@ def named_coin(name: str, m: int) -> ComplexMatrix:
     raise PreconditionError(f"unknown coin name {name!r} (choose from {NAMED_COINS})")
 
 
-def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
-    """Full nm x nm coin operator.
+def _vertex_coins(spec: CoinSpec) -> np.ndarray:
+    """The (n, m, m) stack of coins, entry k steering vertex k."""
+    if spec.per_vertex:
+        return np.stack(spec.matrices)
+    return np.broadcast_to(spec.matrices[0], (spec.n, spec.m, spec.m))
 
-    Global: kron(C, I_n). Per-vertex: block (i, j) is the diagonal matrix
-    whose k-th entry is entry (i, j) of vertex k's coin, so identical
-    per-vertex coins reproduce the global form bit-exactly.
+
+def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
+    """Full nm x nm coin operator: block (i, j) is the diagonal matrix
+    whose k-th entry is entry (i, j) of vertex k's coin, so a global coin
+    C gives C (x) I_n and identical per-vertex coins give the same bytes.
     """
-    if not spec.per_vertex:
-        return kron(spec.matrices[0], np.eye(spec.n, dtype=np.complex128))
     m, n = spec.m, spec.n
-    full = np.zeros((m * n, m * n), dtype=np.complex128)
-    for k, c in enumerate(spec.matrices):
-        idx = np.arange(m) * n + k
-        full[np.ix_(idx, idx)] = c
-    return full
+    full = np.zeros((m, n, m, n), dtype=np.complex128)
+    k = np.arange(n)
+    full[:, k, :, k] = _vertex_coins(spec)
+    return full.reshape(m * n, m * n)
 
 
 def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
@@ -127,9 +128,8 @@ def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
     if s.shape != (m * n, m * n):
         raise PreconditionError(
             f"shift {s.shape} and coin {(m * n, m * n)} dimensions disagree")
-    coins = (np.stack(spec.matrices) if spec.per_vertex
-             else np.broadcast_to(spec.matrices[0], (n, m, m)))  # coin of vertex b
-    u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins).reshape(m * n, m * n)
+    u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n),
+                  _vertex_coins(spec)).reshape(m * n, m * n)
     require_unitary(u, tol, "evolution operator")
     return u
 
@@ -137,15 +137,7 @@ def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
 def column_adjacency(u: ComplexMatrix, m: int, j: int) -> ComplexMatrix:
     """Effective transposed transition matrix for walkers in coin state j:
     the sum of all blocks in block column j of u."""
-    u = as_matrix(u)
-    if u.shape[0] != u.shape[1]:
-        raise PreconditionError("operator must be square")
-    if m < 1 or u.shape[0] % m != 0:
-        raise PreconditionError(f"dimension {u.shape[0]} is not divisible by m={m}")
+    blocks = KrausGrid.from_matrix(u, m).blocks
     if not 0 <= j < m:
         raise PreconditionError(f"column index {j} out of range for m={m}")
-    n = u.shape[0] // m
-    acc = np.zeros((n, n), dtype=np.complex128)
-    for i in range(m):
-        acc += u[i * n:(i + 1) * n, j * n:(j + 1) * n]
-    return acc
+    return blocks[:, j].sum(axis=0)

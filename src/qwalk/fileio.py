@@ -64,6 +64,8 @@ def matrix_from_obj(obj) -> ComplexMatrix:
         raise FileFormatError(f"matrix object missing field: {exc}") from exc
     if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
         raise FileFormatError("matrix rows/cols must be positive integers")
+    if not isinstance(entries, list):
+        raise FileFormatError("matrix entries must be a list")
     if len(entries) != rows * cols:
         raise FileFormatError(
             f"matrix has {len(entries)} entries, expected {rows * cols}")
@@ -129,8 +131,9 @@ def load_grid(path) -> KrausGrid:
         raise FileFormatError(f"malformed grid file: {exc}") from exc
     if not (isinstance(m, int) and isinstance(n, int)):
         raise FileFormatError("grid m/n must be integers")
-    blocks = tuple(tuple(matrix_from_obj(b) for b in row) for row in rows)
-    return KrausGrid(m, n, blocks)
+    if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+        raise FileFormatError("grid blocks must be a list of rows of matrices")
+    return KrausGrid(m, n, [[matrix_from_obj(b) for b in row] for row in rows])
 
 
 def save_grid(grid: KrausGrid, path) -> None:
@@ -148,6 +151,8 @@ def load_coin_spec(path) -> CoinSpec:
         m, n, kind = obj["m"], obj["n"], obj["kind"]
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed coin file: {exc}") from exc
+    if not (isinstance(m, int) and isinstance(n, int)):
+        raise FileFormatError("coin m/n must be integers")
     if kind == "named":
         name = obj.get("name")
         if not isinstance(name, str):
@@ -203,7 +208,7 @@ def load_probability_vector(path) -> ProbabilityVector:
         if obj.get("n") is not None and obj["n"] != probs.shape[0]:
             raise FileFormatError("probability vector length disagrees with n")
         return ProbabilityVector(probs)
-    except (TypeError, KeyError) as exc:
+    except (TypeError, KeyError, IndexError, ValueError) as exc:  # e.g. "probs": "ab" or 5
         raise FileFormatError(f"malformed probability file: {exc}") from exc
 
 

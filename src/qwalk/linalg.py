@@ -1,5 +1,5 @@
-"""Dense complex-matrix kernel: products, powers, Kronecker products,
-block partitioning and tolerance-aware structural predicates.
+"""Dense complex-matrix kernel: powers, Kronecker products and
+tolerance-aware structural predicates.
 
 All matrices are numpy arrays of dtype complex128, row-major, and treated
 as immutable by every function in this package. The Kronecker convention
@@ -19,31 +19,24 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
-    "matmul",
     "kron",
     "matpow",
     "max_norm",
     "unitarity_residual",
     "is_unitary",
     "require_unitary",
-    "block_partition",
-    "assemble_blocks",
 ]
 
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Comparison thresholds for structural predicates.
-
-    abs_eps bounds absolute max-norm residuals (the workhorse); rel_eps
-    is available for scale-aware comparisons of large-magnitude data.
-    """
+    """Comparison threshold for structural predicates: abs_eps bounds
+    absolute max-norm residuals."""
 
     abs_eps: float = 1e-10
-    rel_eps: float = 1e-12
 
     def __post_init__(self):
-        if self.abs_eps < 0 or self.rel_eps < 0:
+        if self.abs_eps < 0:
             raise ValueError("tolerances must be nonnegative")
 
 
@@ -58,13 +51,6 @@ def as_matrix(a) -> ComplexMatrix:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains NaN or Inf entries")
     return m
-
-
-def matmul(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"dimension mismatch: {a.shape} x {b.shape}")
-    return a @ b
 
 
 def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
@@ -111,24 +97,6 @@ def require_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL,
     if r > tol.abs_eps:
         raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
     return a
-
-
-def block_partition(a: ComplexMatrix, m: int, n: int) -> list[list[ComplexMatrix]]:
-    """Partition an (m*n) x (m*n) matrix into an m x m grid of n x n blocks.
-
-    Block (i, j) is the submatrix with rows [i*n, (i+1)*n) and columns
-    [j*n, (j+1)*n); ``assemble_blocks`` is the exact inverse.
-    """
-    a = _require_square(a)
-    if m < 1 or n < 1 or a.shape[0] != m * n:
-        raise ValueError(f"matrix of size {a.shape[0]} does not factor as {m}x{n}")
-    return [[a[i * n:(i + 1) * n, j * n:(j + 1) * n].copy() for j in range(m)]
-            for i in range(m)]
-
-
-def assemble_blocks(blocks) -> ComplexMatrix:
-    """Reassemble a grid of equally sized blocks into one matrix."""
-    return np.block([[as_matrix(b) for b in row] for row in blocks])
 
 
 def _require_square(a) -> ComplexMatrix:

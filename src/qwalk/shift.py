@@ -11,13 +11,12 @@ blocks and read back as a directed multigraph; the partition parameter m
 is free (subject to divisibility), so the same unitary yields a family of
 multigraphs.
 
-Block convention: the stored blocks are exactly the blocks of S, i.e. the
-transposed per-coin adjacencies. Graph-side adjacency contributions are
-obtained by transposing at the graph boundary only.
+Block convention: a grid stores S itself, and its blocks are the blocks
+of S, i.e. the transposed per-coin adjacencies. Graph-side adjacency
+contributions are obtained by transposing at the graph boundary only.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -28,8 +27,6 @@ from .linalg import (
     Tolerance,
     DEFAULT_TOL,
     as_matrix,
-    assemble_blocks,
-    block_partition,
     max_norm,
     require_unitary,
     unitarity_residual,
@@ -46,71 +43,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class KrausGrid:
     """An m x m grid of n x n blocks (the candidate blocks of a shift
-    operator). Completeness is not enforced at construction; use
-    ``verify_kraus`` or ``assemble_shift``."""
+    operator), stored once as the read-only nm x nm matrix S; ``blocks``
+    is its (m, m, n, n) view, blocks[i][j] = S[in:(i+1)n, jn:(j+1)n].
+    Completeness is not enforced at construction; use ``verify_kraus`` or
+    ``assemble_shift``."""
 
     m: int
     n: int
-    blocks: tuple[tuple[ComplexMatrix, ...], ...]
+    matrix: ComplexMatrix
 
-    def __post_init__(self):
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int, blocks):
+        """``blocks`` is any array-like of shape (m, m, n, n)."""
+        if m < 1 or n < 1:
             raise PreconditionError("grid dimensions must be positive")
-        rows = tuple(tuple(as_matrix(b) for b in row) for row in self.blocks)
-        if len(rows) != self.m or any(len(r) != self.m for r in rows):
-            raise PreconditionError(f"expected an {self.m}x{self.m} grid of blocks")
-        for row in rows:
-            for b in row:
-                if b.shape != (self.n, self.n):
-                    raise PreconditionError(
-                        f"expected {self.n}x{self.n} blocks, got {b.shape}")
-        object.__setattr__(self, "blocks", rows)
+        shape_error = f"expected an {m}x{m} grid of {n}x{n} blocks"
+        try:
+            b = np.asarray(blocks, dtype=np.complex128)
+        except ValueError as exc:  # ragged nesting: rows or blocks of mixed sizes
+            raise PreconditionError(shape_error) from exc
+        if b.shape != (m, m, n, n):
+            raise PreconditionError(f"{shape_error}, got shape {b.shape}")
+        s = as_matrix(b.transpose(0, 2, 1, 3).reshape(m * n, m * n))
+        s.setflags(write=False)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "matrix", s)
 
     @classmethod
     def from_matrix(cls, u: ComplexMatrix, m: int) -> "KrausGrid":
-        """Partition a square matrix of size divisible by m."""
-        u = as_matrix(u)
-        if u.shape[0] != u.shape[1]:
+        """Partition a square matrix of size divisible by m. The grid is
+        a view of ``u``, not a copy."""
+        u = np.asarray(u, dtype=np.complex128)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
             raise PreconditionError("matrix must be square")
-        if u.shape[0] % m != 0:
+        if m < 1 or u.shape[0] % m != 0:
             raise PreconditionError(
                 f"dimension {u.shape[0]} is not divisible by m={m}")
         n = u.shape[0] // m
-        return cls(m, n, tuple(tuple(r) for r in block_partition(u, m, n)))
+        return cls(m, n, u.reshape(m, n, m, n).transpose(0, 2, 1, 3))
+
+    @property
+    def blocks(self) -> np.ndarray:
+        return self.matrix.reshape(self.m, self.n, self.m, self.n).transpose(0, 2, 1, 3)
 
     def block_sum(self) -> ComplexMatrix:
         """Sum of all blocks (the candidate transposed adjacency)."""
-        total = np.zeros((self.n, self.n), dtype=np.complex128)
-        for row in self.blocks:
-            for b in row:
-                total += b
-        return total
-
-    @cached_property
-    def _matrix(self) -> ComplexMatrix:
-        """The assembled nm x nm matrix S, built once per grid."""
-        return assemble_blocks(self.blocks)
+        return self.blocks.sum(axis=(0, 1))
 
     def column_completeness_residual(self) -> float:
         """max over (j,k) of |sum_i blocks[i][j]^dag blocks[i][k] - I djk|, i.e.
         of S^dag S - I: zero iff each block column is a complete Kraus set."""
-        return unitarity_residual(self._matrix)
+        return unitarity_residual(self.matrix)
 
     def row_completeness_residual(self) -> float:
         """max over (j,k) of |sum_i blocks[j][i] blocks[k][i]^dag - I djk|,
         i.e. of S S^dag - I: completeness of each block row."""
-        return unitarity_residual(self._matrix.conj().T)
+        return unitarity_residual(self.matrix.conj().T)
 
 
 @dataclass(frozen=True)
 class ShiftOperator:
-    """A verified Kraus grid together with its nm x nm unitary assembly."""
+    """A verified Kraus grid; its matrix is the unitary assembly S."""
 
     grid: KrausGrid
-    matrix: ComplexMatrix
+
+    @property
+    def matrix(self) -> ComplexMatrix:
+        return self.grid.matrix
 
     @property
     def m(self) -> int:
@@ -164,18 +166,13 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
             f"{row_sums.tolist()}, column sums {col_sums.tolist()}")
 
     n = target.shape[0]
-    perms: list[ComplexMatrix] = []
-    for _ in range(d):
+    s = np.zeros((d, n, d, n), dtype=np.complex128)  # S, indexed [i, row, j, col]
+    rows = np.arange(n)
+    for i in range(d):
         match = _perfect_matching(target)
-        p = np.zeros((n, n), dtype=np.complex128)
-        p[np.arange(n), match] = 1.0
-        target[np.arange(n), match] -= 1
-        perms.append(p)
-
-    zero = np.zeros((n, n), dtype=np.complex128)
-    blocks = tuple(tuple(perms[i] if i == j else zero for j in range(d))
-                   for i in range(d))
-    return KrausGrid(d, n, blocks)
+        s[i, rows, i, match] = 1.0
+        target[rows, match] -= 1
+    return KrausGrid(d, n, s.transpose(0, 2, 1, 3))
 
 
 def _perfect_matching(counts: np.ndarray) -> list[int]:
@@ -244,7 +241,7 @@ def assemble_shift(grid: KrausGrid, tol: Tolerance = DEFAULT_TOL) -> ShiftOperat
             "grid violates completeness relations (column residual "
             f"{report.column_residual:.3e}, row residual {report.row_residual:.3e})",
             max(report.column_residual, report.row_residual))
-    return ShiftOperator(grid, grid._matrix)
+    return ShiftOperator(grid)
 
 
 def extract_graph(u: ComplexMatrix, m: int,
@@ -256,14 +253,10 @@ def extract_graph(u: ComplexMatrix, m: int,
     the transposed blocks. Entries below tol.abs_eps in magnitude are
     treated as floating-point zeros and produce no arc.
     """
-    u = as_matrix(u)
     require_unitary(u, tol, "input matrix")
     grid = KrausGrid.from_matrix(u, m)
-    n = grid.n
-    arcs: list[Arc] = []
-    for j in range(grid.m):
-        # graph-side adjacency of coin j: sum over rows, transposed
-        col_adj = sum(grid.blocks[i][j] for i in range(grid.m)).T
-        arcs.extend(Arc(r, c, complex(col_adj[r, c]), coin_tag=j)
-                    for r, c in np.argwhere(np.abs(col_adj) >= tol.abs_eps).tolist())
-    return grid, MultiGraph(n, tuple(arcs))
+    # graph-side adjacency of coin j: block column j summed, transposed
+    adj = grid.blocks.sum(axis=0).transpose(0, 2, 1)
+    arcs = tuple(Arc(r, c, complex(adj[j, r, c]), coin_tag=j)
+                 for j, r, c in np.argwhere(np.abs(adj) >= tol.abs_eps).tolist())
+    return grid, MultiGraph(grid.n, arcs)

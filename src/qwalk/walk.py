@@ -12,7 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import PreconditionError
-from .linalg import ComplexMatrix, Tolerance, DEFAULT_TOL, as_matrix, max_norm
+from .linalg import ComplexMatrix, DEFAULT_TOL, as_matrix, max_norm
 
 __all__ = [
     "WalkerState",
@@ -155,8 +155,7 @@ def classical_trajectory(a: ComplexMatrix, p0: ProbabilityVector,
         yield p0
 
 
-def classical_walk(a: ComplexMatrix, p0: ProbabilityVector, t: int,
-                   tol: Tolerance = DEFAULT_TOL) -> ProbabilityVector:
+def classical_walk(a: ComplexMatrix, p0: ProbabilityVector, t: int) -> ProbabilityVector:
     """Distribution after t steps of the update rule P <- M^T P."""
     for dist in classical_trajectory(a, p0, t):
         pass

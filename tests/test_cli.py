@@ -11,6 +11,7 @@ from qwalk import (
     basis_state,
     classical_walk,
     max_norm,
+    named_coin,
 )
 from qwalk import fileio
 from qwalk.cli import main
@@ -104,6 +105,17 @@ class TestAssembleAndEvolveOp:
         from qwalk import is_unitary
         assert is_unitary(fileio.load_matrix(u_path))
 
+    def test_global_coin_bytes_match_per_vertex_spec(self, tmp_path):
+        h = fileio.matrix_to_obj(named_coin("hadamard", 2))
+        outs = []
+        for kind, matrices in (("global", [h]), ("per_vertex", [h] * 4)):
+            spec = tmp_path / f"{kind}.json"
+            spec.write_text(json.dumps({"m": 2, "n": 4, "kind": kind,
+                                        "matrices": matrices}))
+            outs.append(tmp_path / f"{kind}.out.json")
+            assert main(["coin", str(spec), "--out", str(outs[-1])]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+
 
 class TestWalk:
     @pytest.fixture
@@ -146,13 +158,28 @@ class TestWalk:
             sums[t] = sums.get(t, 0.0) + float(p)
         assert all(abs(s - 1) <= 1e-10 for s in sums.values())
 
-    def test_perturbed_operator_exits_3(self, setup, tmp_path):
-        op, state, _ = setup
+    def test_perturbed_operator_exits_3(self, setup, tmp_path, capsys):
+        op, state, coin = setup
         bad = fileio.load_matrix(op).copy()
         bad[0, 0] += 0.01
         bad_path = write_matrix(tmp_path, "bad.json", bad)
         assert main(["walk", bad_path, state, "--steps", "1",
                      "--out", str(tmp_path / "x.csv")]) == 3
+        assert "walk operator is not unitary" in capsys.readouterr().err
+        assert main(["walk", bad_path, state, "--coin", coin, "--steps", "1",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+        assert "shift operator is not unitary" in capsys.readouterr().err
+
+    def test_coin_walk_checks_each_operator_once(self, setup, tmp_path, monkeypatch):
+        import qwalk.linalg
+        calls = []
+        residual = qwalk.linalg.unitarity_residual
+        monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
+                            lambda a: calls.append(a.shape) or residual(a))
+        op, state, coin = setup
+        assert main(["walk", op, state, "--coin", coin, "--steps", "2",
+                     "--out", str(tmp_path / "w.csv")]) == 0
+        assert calls == [(2, 2), (8, 8), (8, 8)]  # coin, S, U
 
 
 class TestClassical:
@@ -239,7 +266,38 @@ class TestCompile:
         assert is_unitary(fileio.load_matrix(out))
 
 
+I2, Z2, I3 = (fileio.matrix_to_obj(a) for a in (np.eye(2), np.zeros((2, 2)), np.eye(3)))
+
+
 class TestBadInput:
+    @pytest.mark.parametrize("argv, obj, code", [
+        (["extract", "{file}", "--m", "0"], fileio.matrix_to_obj(SWAP), 2),
+        (["extract", "{file}", "--m", "-1"], fileio.matrix_to_obj(SWAP), 2),
+        (["verify", "{file}"], {"m": 2, "n": 2, "blocks": 5}, 1),
+        (["verify", "{file}"], {"m": 2, "n": 2, "blocks": [5, 5]}, 1),
+        (["decompose", "{file}"], {"rows": 2, "cols": 2, "entries": 5}, 1),
+        (["classical", "{c4}", "{file}", "--steps", "1"], {"n": 4, "probs": "ab"}, 1),
+        (["classical", "{c4}", "{file}", "--steps", "1"], {"n": 1, "probs": 5}, 1),
+        (["coin", "{file}"], {"m": "x", "n": 4, "kind": "named", "name": "grover"}, 1),
+        (["verify", "{file}"], {"m": 2, "n": 2, "blocks": [[I2, Z2], [Z2]]}, 2),
+        (["verify", "{file}"], {"m": 3, "n": 2, "blocks": [[I2, Z2], [Z2, I2]]}, 2),
+        (["verify", "{file}"], {"m": 2, "n": 3, "blocks": [[I2, Z2], [Z2, I2]]}, 2),
+        (["verify", "{file}"], {"m": 2, "n": 2, "blocks": [[I2, Z2], [Z2, I3]]}, 2),
+        (["verify", "{file}"], {"m": 0, "n": 2, "blocks": []}, 2),
+    ], ids=["extract-m0", "extract-m-neg", "grid-blocks-int", "grid-rows-int",
+            "matrix-entries-int", "probs-str", "probs-int", "coin-m-str",
+            "grid-ragged-rows", "grid-wrong-m", "grid-wrong-n", "grid-mixed-sizes",
+            "grid-m0"])
+    def test_exit_code_without_traceback(self, tmp_path, capsys, argv, obj, code):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(obj))
+        c4 = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
+        argv = [a.format(file=path, c4=c4) for a in argv]
+        if argv[0] != "verify":
+            argv += ["--out", str(tmp_path / "out.json")]
+        assert main(argv) == code
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_non_finite_matrix_entry_exits_1(self, tmp_path, capsys):
         path = tmp_path / "nan.json"
         entries = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [float("nan"), 0.0]]

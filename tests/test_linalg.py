@@ -4,13 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qwalk import (
+    KrausGrid,
+    PreconditionError,
     Tolerance,
     as_matrix,
-    assemble_blocks,
-    block_partition,
     is_unitary,
     kron,
-    matmul,
     matpow,
     max_norm,
     unitarity_residual,
@@ -21,22 +20,6 @@ SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
                  [0, 1, 0, 0],
                  [0, 0, 0, 1]], dtype=np.complex128)
-
-
-class TestMatmul:
-    def test_identity(self):
-        assert np.array_equal(matmul(np.eye(2), np.eye(2)), np.eye(2))
-
-    def test_swap_involution(self):
-        x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        assert np.array_equal(matmul(x, x), np.eye(2))
-
-    def test_hadamard_self_inverse(self):
-        assert max_norm(matmul(H, H) - np.eye(2)) < 1e-15
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            matmul(np.eye(2), np.eye(3))
 
 
 class TestKron:
@@ -88,15 +71,18 @@ class TestIsUnitary:
 
 
 class TestBlockPartition:
+    """A grid's blocks are the (m, m, n, n) view of the matrix it holds."""
+
     def test_identity_blocks(self):
-        blocks = block_partition(np.eye(4), 2, 2)
+        blocks = KrausGrid.from_matrix(np.eye(4), 2).blocks
+        assert blocks.shape == (2, 2, 2, 2)
         assert np.array_equal(blocks[0][0], np.eye(2))
         assert np.array_equal(blocks[0][1], np.zeros((2, 2)))
         assert np.array_equal(blocks[1][0], np.zeros((2, 2)))
         assert np.array_equal(blocks[1][1], np.eye(2))
 
     def test_swap_blocks(self):
-        blocks = block_partition(SWAP, 2, 2)
+        blocks = KrausGrid.from_matrix(SWAP, 2).blocks
         assert np.array_equal(blocks[0][0], [[1, 0], [0, 0]])
         assert np.array_equal(blocks[0][1], [[0, 0], [1, 0]])
         assert np.array_equal(blocks[1][0], [[0, 1], [0, 0]])
@@ -104,11 +90,13 @@ class TestBlockPartition:
 
     def test_roundtrip_exact(self, rng):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        assert np.array_equal(assemble_blocks(block_partition(a, 2, 3)), a)
+        grid = KrausGrid.from_matrix(a, 2)
+        assert np.array_equal(KrausGrid(2, 3, grid.blocks).matrix, a)
 
     def test_bad_factorization(self):
-        with pytest.raises(ValueError):
-            block_partition(np.eye(6), 4, 2)
+        for m in (0, -1, 4):
+            with pytest.raises(PreconditionError):
+                KrausGrid.from_matrix(np.eye(6), m)
 
 
 class TestMatpow:
@@ -129,16 +117,12 @@ class TestMatpow:
 def test_partition_roundtrip_property(m, n, seed):
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(m * n, m * n)) + 1j * rng.normal(size=(m * n, m * n))
-    assert np.array_equal(assemble_blocks(block_partition(a, m, n)), a)
-
-
-@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 64))
-@settings(max_examples=25, deadline=None)
-def test_matmul_associativity_within_tolerance(seed, dim):
-    rng = np.random.default_rng(seed)
-    mats = [rng.normal(size=(dim, dim)) / np.sqrt(dim) for _ in range(3)]
-    a, b, c = (m.astype(np.complex128) for m in mats)
-    assert max_norm(matmul(matmul(a, b), c) - matmul(a, matmul(b, c))) <= 1e-10
+    grid = KrausGrid.from_matrix(a, m)
+    for i in range(m):
+        for j in range(m):
+            block = a[i * n:(i + 1) * n, j * n:(j + 1) * n]
+            assert np.array_equal(grid.blocks[i][j], block)
+    assert np.array_equal(KrausGrid(m, n, grid.blocks).matrix, a)
 
 
 def test_tolerance_validation():

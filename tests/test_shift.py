@@ -10,6 +10,7 @@ from qwalk import (
     PreconditionError,
     adjacency,
     assemble_shift,
+    column_adjacency,
     decompose_permutations,
     extract_graph,
     is_unitary,
@@ -216,3 +217,19 @@ def test_perturbed_grids_fail_completeness(seed):
     u[r, c] += 0.01 * u[r, c] / abs(u[r, c])
     report = verify_kraus(None, KrausGrid.from_matrix(u, 2))
     assert not (report.column_ok and report.row_ok)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([(1, 5), (9, 2), (12, 3), (16, 1)]))
+@settings(max_examples=20, deadline=None)
+def test_block_sums_match_loop_reference(seed, shape):
+    # numpy may add the blocks in another order than this loop (m >= 9),
+    # so allow rounding: m^2 terms of magnitude <= 1 in complex128
+    m, n = shape
+    u = haar_unitary(m * n, np.random.default_rng(seed))
+    blocks = [[u[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)]
+              for i in range(m)]
+    assert max_norm(KrausGrid.from_matrix(u, m).block_sum()
+                    - sum(b for row in blocks for b in row)) <= 1e-12
+    for j in range(m):
+        assert max_norm(column_adjacency(u, m, j)
+                        - sum(blocks[i][j] for i in range(m))) <= 1e-12

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from qwalk import adjacency, extract_graph
+from qwalk import adjacency, extract_family
 from qwalk.fileio import save_graph, save_matrix
 
 
@@ -37,10 +37,7 @@ def main() -> None:
     args.out_dir.mkdir(parents=True, exist_ok=True)
     save_matrix(u, args.out_dir / "unitary.json")
 
-    for m in range(1, args.dim + 1):
-        if args.dim % m:
-            continue
-        grid, graph = extract_graph(u, m)
+    for m, grid, graph in extract_family(u):
         path = args.out_dir / f"graph_m{m}.json"
         save_graph(graph, path)
         print(f"m={m} n={grid.n}: {len(graph.arcs)} arcs -> {path}")

@@ -29,6 +29,7 @@ from .shift import (
     verify_kraus,
     assemble_shift,
     extract_graph,
+    extract_family,
 )
 from .coins import (
     CoinSpec,

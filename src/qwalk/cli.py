@@ -19,7 +19,8 @@ from . import fileio
 from .coins import CoinSpec, coin_matrix, evolution, named_coin, NAMED_COINS
 from .errors import FileFormatError, NonUnitaryError, PreconditionError
 from .linalg import Tolerance, max_norm, require_unitary
-from .shift import assemble_shift, decompose_permutations, extract_graph, verify_kraus
+from .shift import (assemble_shift, decompose_permutations, extract_family,
+                    extract_graph, verify_kraus)
 from .walk import classical_trajectory, measure_position, step
 
 EXIT_OK = 0
@@ -112,7 +113,7 @@ def cmd_walk(args) -> int:
             state = step(operator, state)
         if args.trajectory or t == args.steps:
             dist = measure_position(state)
-            rows.extend((t, k, float(dist.probs[k])) for k in range(dist.n))
+            rows.extend((t, k, p) for k, p in enumerate(dist.probs.tolist()))
     fileio.write_distribution_csv(rows, args.out)
     total = float(np.sum(np.abs(state.amplitudes) ** 2))
     print(f"total probability = {fileio.fmt_float(total)}")
@@ -125,14 +126,13 @@ def cmd_classical(args) -> int:
     rows = []
     for t, dist in enumerate(classical_trajectory(a, p0, args.steps)):
         if args.trajectory or t == args.steps:
-            rows.extend((t, k, float(dist.probs[k])) for k in range(dist.n))
+            rows.extend((t, k, p) for k, p in enumerate(dist.probs.tolist()))
     fileio.write_distribution_csv(rows, args.out)
     print(f"total probability = {fileio.fmt_float(float(dist.probs.sum()))}")
     return EXIT_OK
 
 
-def _extract_one(u, m, out_path, tol) -> None:
-    grid, graph = extract_graph(u, m, tol)
+def _save_extracted(m, grid, graph, out_path) -> None:
     fileio.save_graph(graph, out_path)
     adjacency_path = Path(out_path).with_suffix(".adjacency.json")
     fileio.save_matrix(grid.block_sum().T, adjacency_path)
@@ -145,15 +145,12 @@ def cmd_extract(args) -> int:
     tol = _tol(args)
     if args.all_partitions:
         base = Path(args.out)
-        dim = u.shape[0]
-        for m in range(1, dim + 1):
-            if dim % m == 0:
-                out = base.with_suffix(f".m{m}.json")
-                _extract_one(u, m, out, tol)
+        for m, grid, graph in extract_family(u, tol):
+            _save_extracted(m, grid, graph, base.with_suffix(f".m{m}.json"))
         return EXIT_OK
     if args.m is None:
         raise PreconditionError("extract requires --m or --all-partitions")
-    _extract_one(u, args.m, args.out, tol)
+    _save_extracted(args.m, *extract_graph(u, args.m, tol), args.out)
     return EXIT_OK
 
 

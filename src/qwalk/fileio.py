@@ -1,12 +1,14 @@
 """JSON and CSV serialization for every on-disk format.
 
-Complex scalars are stored as [re, im] pairs. Floats in CSV output use
-17-significant-digit formatting so identical inputs produce byte-identical
+Complex scalars are stored as [re, im] pairs. JSON files have the layout
+of ``json.dump(obj, f, indent=1)``, and floats in them are written as
+json writes them (the shortest repr); floats in CSV output use
+17-significant-digit formatting. Identical inputs produce byte-identical
 files on every platform.
 """
 
-import csv
 import json
+from itertools import islice
 
 import numpy as np
 
@@ -40,17 +42,124 @@ def _load_json(path):
         return json.load(f)
 
 
+# The JSON writers write exactly the text of json.dump(obj, f, indent=1)
+# plus a newline. ``obj`` is a skeleton of dicts, lists and scalars,
+# rendered piece by piece; its bulk values (complex arrays, probabilities,
+# arcs) are ``_records`` callables of the nesting level, which render
+# CHUNK records per piece from one json.dumps per column of numbers, so
+# no Python call is made per number and the whole text is never held.
+
+CHUNK = 4096
+
+
 def _save_json(obj, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=1)
+        f.writelines(_chunks(obj, 0))
         f.write("\n")
+
+
+def _chunks(obj, level: int):
+    """The json indent-1 text of ``obj`` nested ``level`` deep, in pieces."""
+    if callable(obj):
+        yield from obj(level)
+    elif isinstance(obj, dict) and obj:
+        pad = "\n" + " " * (level + 1)
+        yield "{"
+        for i, (key, value) in enumerate(obj.items()):
+            yield f"{',' if i else ''}{pad}{json.dumps(key)}: "
+            yield from _chunks(value, level + 1)
+        yield "\n" + " " * level + "}"
+    elif isinstance(obj, (list, tuple)) and obj:
+        pad = "\n" + " " * (level + 1)
+        yield "["
+        for i, value in enumerate(obj):
+            yield f"{',' if i else ''}{pad}"
+            yield from _chunks(value, level + 1)
+        yield "\n" + " " * level + "]"
+    else:
+        yield json.dumps(obj)
+
+
+def _scalar_texts(values: list) -> list[str]:
+    """json's text of each of a list of numbers, booleans and nulls, from
+    one C-encoded dumps (no such text contains ", ")."""
+    return json.dumps(values)[1:-1].split(", ")
+
+
+_FIELD = "\0"  # marks a template field; json writes it as "\u0000"
+
+
+def _template(skeleton, level: int):
+    """str.format of the json text of ``skeleton`` nested ``level`` deep,
+    with one {} field per _FIELD leaf."""
+    text = "".join(_chunks(skeleton, level))
+    return text.replace("{", "{{").replace("}", "}}").replace(json.dumps(_FIELD), "{}").format
+
+
+def _records(skeleton, count: int, columns):
+    """Bulk value: a list of ``count`` records laid out as ``skeleton``,
+    whose _FIELD leaves take, in order, the values of the lists that
+    ``columns(i, j)`` returns for records i..j-1."""
+    def render(level):
+        if not count:
+            yield "[]"
+            return
+        record = _template(skeleton, level + 1)
+        sep = ",\n" + " " * (level + 1)
+        yield "["
+        for i in range(0, count, CHUNK):
+            texts = map(_scalar_texts, columns(i, i + CHUNK))
+            yield (sep if i else sep[1:]) + sep.join(map(record, *texts))
+        yield "\n" + " " * level + "]"
+    return render
+
+
+def _pairs(z):
+    """Bulk value: a complex array as a list of [re, im] pairs."""
+    z = np.asarray(z, dtype=np.complex128).reshape(-1)
+    return _records([_FIELD, _FIELD], z.size,
+                    lambda i, j: (z.real[i:j].tolist(), z.imag[i:j].tolist()))
+
+
+_ARC = {"tail": _FIELD, "head": _FIELD, "w": [_FIELD, _FIELD], "coin": _FIELD}
+
+
+def _arc_columns(arcs) -> tuple[list, ...]:
+    w = np.array([a.weight for a in arcs], dtype=np.complex128)
+    return ([a.tail for a in arcs], [a.head for a in arcs],
+            w.real.tolist(), w.imag.tolist(), [a.coin_tag for a in arcs])
+
+
+def _number_array(items, width: int | None, error: str) -> np.ndarray:
+    """A JSON list of numbers (``width`` None) or of ``width``-number
+    lists as a float array; booleans count as numbers, as in json."""
+    if not isinstance(items, list):
+        raise FileFormatError(error)
+    shape = (len(items),) if width is None else (len(items), width)
+    if not items:
+        return np.zeros(shape)
+    try:
+        a = np.array(items)  # no dtype: numpy would parse strings as numbers
+    except ValueError as exc:  # ragged nesting
+        raise FileFormatError(error) from exc
+    if a.dtype.kind not in "biuf" or a.shape != shape:  # strings, nulls, big ints
+        raise FileFormatError(error)
+    return a.astype(np.float64)
+
+
+def _complex_vector(items, what: str) -> np.ndarray:
+    pairs = _number_array(items, 2, f"{what} must be a list of [re, im] number pairs")
+    return np.ascontiguousarray(pairs).view(np.complex128).reshape(-1)
 
 
 def _pair_to_complex(pair) -> complex:
     if (not isinstance(pair, (list, tuple)) or len(pair) != 2
             or not all(isinstance(x, (int, float)) for x in pair)):
         raise FileFormatError(f"expected a [re, im] pair, got {pair!r}")
-    return complex(pair[0], pair[1])
+    try:
+        return complex(pair[0], pair[1])
+    except OverflowError as exc:  # an integer beyond the float range
+        raise FileFormatError(f"[re, im] pair out of range: {exc}") from exc
 
 
 def _complex_to_pair(z: complex) -> list[float]:
@@ -64,14 +173,12 @@ def matrix_from_obj(obj) -> ComplexMatrix:
         raise FileFormatError(f"matrix object missing field: {exc}") from exc
     if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
         raise FileFormatError("matrix rows/cols must be positive integers")
-    if not isinstance(entries, list):
-        raise FileFormatError("matrix entries must be a list")
-    if len(entries) != rows * cols:
+    flat = _complex_vector(entries, "matrix entries")
+    if flat.size != rows * cols:
         raise FileFormatError(
-            f"matrix has {len(entries)} entries, expected {rows * cols}")
-    flat = [_pair_to_complex(e) for e in entries]
+            f"matrix has {flat.size} entries, expected {rows * cols}")
     try:
-        return as_matrix(np.array(flat, dtype=np.complex128).reshape(rows, cols))
+        return as_matrix(flat.reshape(rows, cols))
     except ValueError as exc:  # NaN or Inf entries
         raise FileFormatError(str(exc)) from exc
 
@@ -81,8 +188,13 @@ def matrix_to_obj(a: ComplexMatrix) -> dict:
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "entries": [_complex_to_pair(z) for z in a.reshape(-1)],
+        "entries": np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist(),
     }
+
+
+def _matrix_skeleton(a: ComplexMatrix) -> dict:
+    a = as_matrix(a)
+    return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": _pairs(a)}
 
 
 def load_matrix(path) -> ComplexMatrix:
@@ -90,7 +202,7 @@ def load_matrix(path) -> ComplexMatrix:
 
 
 def save_matrix(a: ComplexMatrix, path) -> None:
-    _save_json(matrix_to_obj(a), path)
+    _save_json(_matrix_skeleton(a), path)
 
 
 def load_graph(path) -> MultiGraph:
@@ -113,9 +225,7 @@ def load_graph(path) -> MultiGraph:
 def save_graph(g: MultiGraph, path) -> None:
     obj = {
         "n": g.n,
-        "arcs": [{"tail": a.tail, "head": a.head,
-                  "w": _complex_to_pair(a.weight), "coin": a.coin_tag}
-                 for a in g.arcs],
+        "arcs": _records(_ARC, len(g.arcs), lambda i, j: _arc_columns(g.arcs[i:j])),
         "undirected": [{"u": e.u, "v": e.v, "w": _complex_to_pair(e.weight)}
                        for e in g.undirected],
         "names": list(g.names) if g.names is not None else None,
@@ -140,7 +250,7 @@ def save_grid(grid: KrausGrid, path) -> None:
     obj = {
         "m": grid.m,
         "n": grid.n,
-        "blocks": [[matrix_to_obj(b) for b in row] for row in grid.blocks],
+        "blocks": [[_matrix_skeleton(b) for b in row] for row in grid.blocks],
     }
     _save_json(obj, path)
 
@@ -177,7 +287,7 @@ def save_coin_spec(spec: CoinSpec, path) -> None:
         "n": spec.n,
         "kind": "per_vertex" if spec.per_vertex else "global",
         "name": None,
-        "matrices": [matrix_to_obj(c) for c in spec.matrices],
+        "matrices": [_matrix_skeleton(c) for c in spec.matrices],
     }
     _save_json(obj, path)
 
@@ -185,41 +295,37 @@ def save_coin_spec(spec: CoinSpec, path) -> None:
 def load_state(path) -> WalkerState:
     obj = _load_json(path)
     try:
-        amps = [_pair_to_complex(p) for p in obj["amplitudes"]]
-        return WalkerState(obj["m"], obj["n"],
-                           np.array(amps, dtype=np.complex128))
+        amps = _complex_vector(obj["amplitudes"], "state amplitudes")
+        return WalkerState(obj["m"], obj["n"], amps)
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed state file: {exc}") from exc
 
 
 def save_state(s: WalkerState, path) -> None:
-    obj = {
-        "m": s.m,
-        "n": s.n,
-        "amplitudes": [_complex_to_pair(z) for z in s.amplitudes],
-    }
-    _save_json(obj, path)
+    _save_json({"m": s.m, "n": s.n, "amplitudes": _pairs(s.amplitudes)}, path)
 
 
 def load_probability_vector(path) -> ProbabilityVector:
     obj = _load_json(path)
     try:
-        probs = np.array(obj["probs"], dtype=np.float64)
-        if obj.get("n") is not None and obj["n"] != probs.shape[0]:
-            raise FileFormatError("probability vector length disagrees with n")
-        return ProbabilityVector(probs)
-    except (TypeError, KeyError, IndexError, ValueError) as exc:  # e.g. "probs": "ab" or 5
+        probs = _number_array(obj["probs"], None, "probs must be a flat list of numbers")
+    except (TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed probability file: {exc}") from exc
+    if obj.get("n") is not None and obj["n"] != probs.size:
+        raise FileFormatError("probability vector length disagrees with n")
+    return ProbabilityVector(probs)
 
 
 def save_probability_vector(p: ProbabilityVector, path) -> None:
-    _save_json({"n": p.n, "probs": [float(x) for x in p.probs]}, path)
+    probs = _records(_FIELD, p.n, lambda i, j: (p.probs[i:j].tolist(),))
+    _save_json({"n": p.n, "probs": probs}, path)
 
 
 def write_distribution_csv(rows, path) -> None:
-    """Write (step, vertex, probability) rows with fixed float formatting."""
+    """Write (step, vertex, probability) rows, the probability with
+    fmt_float's formatting, CHUNK rows per write."""
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="") as f:
-        writer = csv.writer(f, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for step_idx, vertex, prob in rows:
-            writer.writerow([step_idx, vertex, fmt_float(prob)])
+        f.write(",".join(CSV_HEADER) + "\n")
+        while chunk := list(islice(rows, CHUNK)):
+            f.write("".join([f"{s},{v},{p:.17g}\n" for s, v, p in chunk]))

@@ -40,6 +40,7 @@ __all__ = [
     "verify_kraus",
     "assemble_shift",
     "extract_graph",
+    "extract_family",
 ]
 
 
@@ -254,6 +255,21 @@ def extract_graph(u: ComplexMatrix, m: int,
     treated as floating-point zeros and produce no arc.
     """
     require_unitary(u, tol, "input matrix")
+    return _extract(u, m, tol)
+
+
+def extract_family(u: ComplexMatrix, tol: Tolerance = DEFAULT_TOL):
+    """Yield (m, grid, graph) as ``extract_graph`` gives them for every
+    divisor m of the dimension of a bipartite unitary, in increasing
+    order, checking unitarity once."""
+    require_unitary(u, tol, "input matrix")
+    dim = np.shape(u)[0]
+    for m in range(1, dim + 1):
+        if dim % m == 0:
+            yield (m, *_extract(u, m, tol))
+
+
+def _extract(u: ComplexMatrix, m: int, tol: Tolerance) -> tuple[KrausGrid, MultiGraph]:
     grid = KrausGrid.from_matrix(u, m)
     # graph-side adjacency of coin j: block column j summed, transposed
     adj = grid.blocks.sum(axis=0).transpose(0, 2, 1)

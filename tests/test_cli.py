@@ -245,6 +245,17 @@ class TestExtract:
             g = fileio.load_graph(tmp_path / f"family.m{m}.json")
             assert g.n == 8 // m
 
+    def test_all_partitions_checks_unitarity_once(self, tmp_path, rng, monkeypatch):
+        import qwalk.linalg
+        calls = []
+        residual = qwalk.linalg.unitarity_residual
+        monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
+                            lambda a: calls.append(a.shape) or residual(a))
+        u = write_matrix(tmp_path, "u8.json", haar_unitary(8, rng))
+        assert main(["extract", u, "--all-partitions",
+                     "--out", str(tmp_path / "family.json")]) == 0
+        assert calls == [(8, 8)]
+
     def test_non_divisible_exits_2(self, tmp_path, rng):
         u = write_matrix(tmp_path, "u6.json", haar_unitary(6, rng))
         assert main(["extract", u, "--m", "4",
@@ -284,10 +295,19 @@ class TestBadInput:
         (["verify", "{file}"], {"m": 2, "n": 3, "blocks": [[I2, Z2], [Z2, I2]]}, 2),
         (["verify", "{file}"], {"m": 2, "n": 2, "blocks": [[I2, Z2], [Z2, I3]]}, 2),
         (["verify", "{file}"], {"m": 0, "n": 2, "blocks": []}, 2),
+        (["extract", "{file}", "--m", "1"],
+         {"rows": 1, "cols": 1, "entries": [[10 ** 400, 0]]}, 1),
+        (["walk", "{c4}", "{file}", "--steps", "1"],
+         {"m": 1, "n": 4, "amplitudes": [[10 ** 400, 0]] + [[0, 0]] * 3}, 1),
+        (["classical", "{c4}", "{file}", "--steps", "1"],
+         {"n": 4, "probs": [[0.25]] * 4}, 1),
+        (["classical", "{c4}", "{file}", "--steps", "1"],
+         {"n": 4, "probs": ["0.25"] * 4}, 1),
     ], ids=["extract-m0", "extract-m-neg", "grid-blocks-int", "grid-rows-int",
             "matrix-entries-int", "probs-str", "probs-int", "coin-m-str",
             "grid-ragged-rows", "grid-wrong-m", "grid-wrong-n", "grid-mixed-sizes",
-            "grid-m0"])
+            "grid-m0", "matrix-int-overflow", "state-int-overflow", "probs-nested",
+            "probs-numeric-strings"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, obj, code):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(obj))

@@ -1,7 +1,11 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_shift_grid, haar_unitary
 from qwalk import (
@@ -9,8 +13,10 @@ from qwalk import (
     CoinSpec,
     Edge,
     FileFormatError,
+    KrausGrid,
     MultiGraph,
     ProbabilityVector,
+    WalkerState,
     basis_state,
     coin_matrix,
     named_coin,
@@ -139,3 +145,205 @@ class TestCsv:
 
     def test_seventeen_digits(self):
         assert fileio.fmt_float(1 / 3) == "0.33333333333333331"
+
+
+# Writer bytes against the text the writers produced through
+# json.dump(obj, f, indent=1), built from the list-based objects.
+
+SPECIAL = [-0.0, 5e-324, 1e308, 1e16, 0.1]
+finite = st.one_of(st.sampled_from(SPECIAL),
+                   st.floats(allow_nan=False, allow_infinity=False))
+SIZES = [fileio.CHUNK - 1, fileio.CHUNK, fileio.CHUNK + 1, 2 * fileio.CHUNK + 3]
+
+
+def reference_bytes(obj) -> bytes:
+    f = io.StringIO()
+    json.dump(obj, f, indent=1)
+    f.write("\n")
+    return f.getvalue().encode("utf-8")
+
+
+def saved_bytes(save, value, tmp_path) -> bytes:
+    path = tmp_path / "out.json"
+    save(value, path)
+    return path.read_bytes()
+
+
+def pair_list(z) -> list:
+    return [[float(w.real), float(w.imag)] for w in np.asarray(z).reshape(-1)]
+
+
+def matrix_obj(a) -> dict:
+    return {"rows": a.shape[0], "cols": a.shape[1], "entries": pair_list(a)}
+
+
+@st.composite
+def complex_matrices(draw, max_side=5):
+    rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    parts = draw(st.lists(finite, min_size=2 * rows * cols, max_size=2 * rows * cols))
+    a = np.empty(rows * cols, dtype=np.complex128)
+    a.real, a.imag = parts[0::2], parts[1::2]
+    return a.reshape(rows, cols)
+
+
+def with_specials(z):
+    """A copy of the complex vector z with SPECIAL written over its first
+    entries, real and imaginary parts alternately."""
+    z = np.array(z, dtype=np.complex128)
+    parts = z.view(np.float64)
+    parts[:len(SPECIAL)] = SPECIAL[:parts.size]
+    return z
+
+
+class TestWriterBytes:
+    @given(complex_matrices())
+    @settings(max_examples=60, deadline=None)
+    def test_matrix(self, tmp_path_factory, a):
+        got = saved_bytes(fileio.save_matrix, a, tmp_path_factory.mktemp("m"))
+        assert got == reference_bytes(matrix_obj(a))
+        assert fileio.matrix_to_obj(a) == matrix_obj(a)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_matrix_across_chunks(self, tmp_path, rng, size):
+        a = with_specials(rng.normal(size=size) + 1j * rng.normal(size=size))
+        a = a.reshape(1, size)
+        assert saved_bytes(fileio.save_matrix, a, tmp_path) == reference_bytes(matrix_obj(a))
+
+    @pytest.mark.parametrize("size", [1, 3, fileio.CHUNK + 1])
+    def test_state(self, tmp_path, rng, size):
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        amps /= np.linalg.norm(amps)
+        if size > 1:  # values that leave the norm as it is
+            amps[0] = complex(-0.0, 5e-324)
+            amps[1:] /= np.linalg.norm(amps[1:])
+        s = WalkerState(1, size, amps)
+        obj = {"m": 1, "n": size, "amplitudes": pair_list(s.amplitudes)}
+        assert saved_bytes(fileio.save_state, s, tmp_path) == reference_bytes(obj)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_grid(self, tmp_path_factory, m, n, data):
+        parts = data.draw(st.lists(finite, min_size=2 * (m * n) ** 2,
+                                   max_size=2 * (m * n) ** 2))
+        grid = KrausGrid.from_matrix(np.array(parts).view(np.complex128)
+                                     .reshape(m * n, m * n), m)
+        obj = {"m": m, "n": n,
+               "blocks": [[matrix_obj(b) for b in row] for row in grid.blocks]}
+        got = saved_bytes(fileio.save_grid, grid, tmp_path_factory.mktemp("g"))
+        assert got == reference_bytes(obj)
+
+    @pytest.mark.parametrize("per_vertex", [False, True])
+    def test_coin(self, tmp_path, rng, per_vertex):
+        phase = np.array([[1, -0.0], [-0.0, -1]], dtype=np.complex128)
+        coins = [phase, haar_unitary(2, rng), named_coin("hadamard", 2)]
+        spec = (CoinSpec.per_vertex_coins(coins, 2, 4) if per_vertex
+                else CoinSpec.global_coin(coins[1], 4))
+        obj = {"m": 2, "n": 4, "kind": "per_vertex" if per_vertex else "global",
+               "name": None, "matrices": [matrix_obj(c) for c in spec.matrices]}
+        assert saved_bytes(fileio.save_coin_spec, spec, tmp_path) == reference_bytes(obj)
+
+    @pytest.mark.parametrize("size", [1, 5, fileio.CHUNK + 1])
+    def test_probability_vector(self, tmp_path, rng, size):
+        p = np.ones(1)
+        if size > 1:
+            p = np.concatenate([[-0.0, 5e-324, 0.1], rng.random(size - 3)])
+            p[3:] *= 0.9 / p[3:].sum()
+        pv = ProbabilityVector(p)
+        obj = {"n": size, "probs": [float(x) for x in pv.probs]}
+        assert saved_bytes(fileio.save_probability_vector, pv, tmp_path) == reference_bytes(obj)
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_graph(self, tmp_path_factory, data):
+        n = data.draw(st.integers(1, 5))
+        vertex = st.integers(0, n - 1)
+        weight = st.builds(complex, finite, finite).filter(lambda w: w != 0)
+        arcs = data.draw(st.lists(st.builds(
+            Arc, vertex, vertex, weight, st.none() | st.integers(0, 3)), max_size=8))
+        undirected = data.draw(st.lists(st.builds(Edge, vertex, vertex, weight),
+                                        max_size=3))
+        names = data.draw(st.none() | st.lists(
+            st.sampled_from(['q"uote', "back\\slash", "café", "☃"]) | st.text(),
+            min_size=n, max_size=n))
+        g = MultiGraph(n, tuple(arcs), tuple(undirected),
+                       tuple(names) if names is not None else None)
+        obj = {
+            "n": n,
+            "arcs": [{"tail": a.tail, "head": a.head,
+                      "w": [a.weight.real, a.weight.imag], "coin": a.coin_tag}
+                     for a in arcs],
+            "undirected": [{"u": e.u, "v": e.v, "w": [e.weight.real, e.weight.imag]}
+                           for e in undirected],
+            "names": names,
+        }
+        got = saved_bytes(fileio.save_graph, g, tmp_path_factory.mktemp("graph"))
+        assert got == reference_bytes(obj)
+
+    def test_graph_across_chunks(self, tmp_path, rng):
+        count = fileio.CHUNK + 1
+        w = with_specials(rng.normal(size=count) + 1j * rng.normal(size=count))
+        arcs = tuple(Arc(k % 7, k % 5, complex(z), None if k % 3 else k % 4)
+                     for k, z in enumerate(w))
+        obj = {"n": 7,
+               "arcs": [{"tail": a.tail, "head": a.head,
+                         "w": [a.weight.real, a.weight.imag], "coin": a.coin_tag}
+                        for a in arcs],
+               "undirected": [], "names": None}
+        assert saved_bytes(fileio.save_graph, MultiGraph(7, arcs), tmp_path) == reference_bytes(obj)
+
+    @pytest.mark.parametrize("size", [0, 1, fileio.CHUNK + 1])
+    def test_csv(self, tmp_path, rng, size):
+        probs = [-0.0, 5e-324, 0.1, 1e16, 1.0] + rng.random(size).tolist()
+        rows = [(k // 3, k % 3, p) for k, p in enumerate(probs[:size])]
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(fileio.CSV_HEADER)
+        for s, v, p in rows:
+            writer.writerow([s, v, fileio.fmt_float(p)])
+        path = tmp_path / "d.csv"
+        fileio.write_distribution_csv(iter(rows), path)
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+class TestMatrixReader:
+    @pytest.mark.parametrize("entries", [
+        [[1, 0], 5],
+        [[1, 0, 0], [0, 0]],
+        [[1, 0], "ab"],
+        [["0.5", 0], [0, 0]],
+        [[1, 0], None],
+        [[None, 0], [0, 0]],
+        [[[1, 0], 0], [0, 0]],
+        [[1, 0], [1]],
+        [[10 ** 400, 0], [0, 0]],
+    ], ids=["scalar-item", "three-element-pair", "string-item", "string-number",
+            "null-item", "null-number", "nested-pair", "ragged-pairs", "int-overflow"])
+    def test_rejects_what_the_pair_check_rejects(self, tmp_path, entries):
+        with pytest.raises(FileFormatError):
+            for pair in entries:
+                fileio._pair_to_complex(pair)
+        with pytest.raises(FileFormatError):
+            fileio.matrix_from_obj({"rows": 1, "cols": 2, "entries": entries})
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_rejects_non_finite(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(f'{{"rows": 1, "cols": 2, "entries": [[1, 0], [{text}, 0]]}}')
+        with pytest.raises(FileFormatError):
+            fileio.load_matrix(path)
+
+    def test_accepts_booleans_and_integers(self):
+        a = fileio.matrix_from_obj(
+            {"rows": 1, "cols": 3, "entries": [[True, False], [2, -3], [0.5, 1]]})
+        assert a.tolist() == [[1 + 0j, 2 - 3j, 0.5 + 1j]]
+
+    def test_keeps_the_sign_of_zero(self):
+        a = fileio.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[-0.0, -0.0]]})
+        assert np.signbit(a.real[0, 0]) and np.signbit(a.imag[0, 0])
+
+    def test_graph_weight_overflow(self, tmp_path):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"n": 2, "arcs": [{"tail": 0, "head": 1, "w": [10 ** 400, 0]}]}))
+        with pytest.raises(FileFormatError):
+            fileio.load_graph(path)

@@ -12,6 +12,7 @@ from qwalk import (
     assemble_shift,
     column_adjacency,
     decompose_permutations,
+    extract_family,
     extract_graph,
     is_unitary,
     max_norm,
@@ -184,6 +185,31 @@ class TestExtractGraph:
     def test_non_divisible_rejected(self, rng):
         with pytest.raises(PreconditionError):
             extract_graph(haar_unitary(6, rng), 4)
+
+
+class TestExtractFamily:
+    def test_matches_extract_graph_per_divisor(self, rng):
+        u = haar_unitary(12, rng)
+        family = list(extract_family(u))
+        assert [m for m, _, _ in family] == [1, 2, 3, 4, 6, 12]
+        for m, grid, graph in family:
+            grid2, graph2 = extract_graph(u, m)
+            assert (grid.m, grid.n) == (grid2.m, grid2.n)
+            assert np.array_equal(grid.matrix, grid2.matrix)
+            assert graph == graph2
+
+    def test_checks_unitarity_once(self, rng, monkeypatch):
+        import qwalk.linalg
+        calls = []
+        residual = qwalk.linalg.unitarity_residual
+        monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
+                            lambda a: calls.append(a.shape) or residual(a))
+        assert len(list(extract_family(haar_unitary(12, rng)))) == 6
+        assert calls == [(12, 12)]
+
+    def test_non_unitary_rejected(self):
+        with pytest.raises(NonUnitaryError):
+            next(extract_family(np.ones((4, 4))))
 
 
 class TestRoundtrip:

@@ -147,6 +147,7 @@ def cmd_extract(args) -> int:
         base = Path(args.out)
         for m, grid, graph in extract_family(u, tol):
             _save_extracted(m, grid, graph, base.with_suffix(f".m{m}.json"))
+            del grid, graph  # not alive while the next pair is built
         return EXIT_OK
     if args.m is None:
         raise PreconditionError("extract requires --m or --all-partitions")

@@ -16,6 +16,8 @@ from .linalg import (
     Tolerance,
     DEFAULT_TOL,
     as_matrix,
+    max_norm,
+    monomial_gram,
     require_unitary,
 )
 from .shift import KrausGrid, ShiftOperator
@@ -122,15 +124,27 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
 def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
               tol: Tolerance = DEFAULT_TOL) -> ComplexMatrix:
     """One-step evolution operator S (C (x) I_n): the shift applied after
-    the coin, in O(m^3 n^2) on the (m, n, m, n) view of S."""
+    the coin, in O(m^3 n^2) on the (m, n, m, n) view of S.
+
+    U is certified from its factors when S is monomial, as every
+    decomposed or assembled shift is: S†S = D is diagonal, so U†U =
+    (C (x) I)† D (C (x) I) is block-diagonal by vertex, and the residual
+    of U is the max over k of |C_k† diag(D[i n + k] for i < m) C_k - I|,
+    in O(N + n m^3). Any other S takes the dense check of U."""
     s = shift.matrix if isinstance(shift, ShiftOperator) else as_matrix(shift)
     m, n = spec.m, spec.n
     if s.shape != (m * n, m * n):
         raise PreconditionError(
             f"shift {s.shape} and coin {(m * n, m * n)} dimensions disagree")
-    u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n),
-                  _vertex_coins(spec)).reshape(m * n, m * n)
-    require_unitary(u, tol, "evolution operator")
+    coins = _vertex_coins(spec)
+    u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins).reshape(m * n, m * n)
+    gram = monomial_gram(s)
+    if gram is None:
+        return require_unitary(u, tol, "evolution operator")
+    weights = gram.reshape(m, n).T[:, :, None]  # (n, m, 1): D of vertex k, coin i
+    r = max_norm(coins.conj().transpose(0, 2, 1) @ (weights * coins) - np.eye(m))
+    if r > tol.abs_eps:
+        raise NonUnitaryError(f"evolution operator is not unitary (residual {r:.3e})", r)
     return u
 
 

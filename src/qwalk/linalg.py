@@ -22,6 +22,7 @@ __all__ = [
     "kron",
     "matpow",
     "max_norm",
+    "monomial_gram",
     "unitarity_residual",
     "is_unitary",
     "require_unitary",
@@ -72,15 +73,31 @@ def max_norm(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
+def monomial_gram(a: ComplexMatrix) -> NDArray[np.float64] | None:
+    """diag(a†a) when ``a`` is monomial (one nonzero per row and column,
+    e.g. a permutation shift), else None. Then a†a is that diagonal: entry
+    j is |a_ij|^2 for the one nonzero a_ij of column j. ``a`` is a square
+    matrix already checked by ``as_matrix``."""
+    nonzero = a != 0
+    n = a.shape[0]
+    if np.count_nonzero(nonzero) != n:
+        return None
+    rows, cols = np.nonzero(nonzero)
+    if not (np.array_equal(rows, np.arange(n))
+            and np.array_equal(np.sort(cols), np.arange(n))):
+        return None
+    gram = np.empty(n)
+    gram[cols] = np.abs(a[rows, cols]) ** 2
+    return gram
+
+
 def unitarity_residual(a: ComplexMatrix) -> float:
     """max-norm of a†a - I; zero iff the columns are orthonormal. Exact
-    and O(N) for monomial matrices (one nonzero per row and column, e.g.
-    permutation shifts), whose a†a is diagonal with entries |a_ij|^2."""
+    and O(N) for monomial matrices, whose a†a is diagonal."""
     a = _require_square(a)
-    nonzero = a != 0
-    if (np.count_nonzero(nonzero) == a.shape[0]
-            and nonzero.any(axis=0).all() and nonzero.any(axis=1).all()):
-        return max_norm(np.abs(a[nonzero]) ** 2 - 1.0)
+    gram = monomial_gram(a)
+    if gram is not None:
+        return max_norm(gram - 1.0)
     return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
 
 
@@ -90,9 +107,13 @@ def is_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 def require_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL,
                     what: str = "matrix") -> ComplexMatrix:
-    """Return ``a`` unchanged, raising NonUnitaryError past tolerance."""
-    from .errors import NonUnitaryError
+    """Return ``a`` unchanged, raising PreconditionError if it is not a
+    square matrix and NonUnitaryError past tolerance."""
+    from .errors import NonUnitaryError, PreconditionError
 
+    shape = np.shape(a)
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise PreconditionError(f"{what} must be a square matrix, got shape {shape}")
     r = unitarity_residual(a)
     if r > tol.abs_eps:
         raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)

@@ -67,7 +67,9 @@ class KrausGrid:
             raise PreconditionError(shape_error) from exc
         if b.shape != (m, m, n, n):
             raise PreconditionError(f"{shape_error}, got shape {b.shape}")
-        s = as_matrix(b.transpose(0, 2, 1, 3).reshape(m * n, m * n))
+        self._hold(m, n, as_matrix(b.transpose(0, 2, 1, 3).reshape(m * n, m * n)))
+
+    def _hold(self, m: int, n: int, s: ComplexMatrix) -> None:
         s.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
@@ -101,8 +103,10 @@ class KrausGrid:
 
     def row_completeness_residual(self) -> float:
         """max over (j,k) of |sum_i blocks[j][i] blocks[k][i]^dag - I djk|,
-        i.e. of S S^dag - I: completeness of each block row."""
-        return unitarity_residual(self.matrix.conj().T)
+        i.e. of S S^dag - I: completeness of each block row. That is the
+        conjugate of (S^T)^dag S^T - I, so the transpose view of S serves
+        and S is not copied."""
+        return unitarity_residual(self.matrix.T)
 
 
 @dataclass(frozen=True)
@@ -173,7 +177,9 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
         match = _perfect_matching(target)
         s[i, rows, i, match] = 1.0
         target[rows, match] -= 1
-    return KrausGrid(d, n, s.transpose(0, 2, 1, 3))
+    grid = object.__new__(KrausGrid)  # S holds only 0 and 1: no NaN/Inf scan
+    grid._hold(d, n, s.reshape(d * n, d * n))
+    return grid
 
 
 def _perfect_matching(counts: np.ndarray) -> list[int]:

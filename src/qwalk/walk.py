@@ -32,6 +32,9 @@ class WalkerState:
     """Normalized length-nm amplitude vector over coin (x) position.
 
     Construction rejects unnormalized input instead of silently fixing it.
+    States that ``step`` computes are checked for NaN/Inf only: an
+    operator the tolerance accepts may let the norm drift a little at
+    every step, and a walk must not abort on it.
     """
 
     m: int
@@ -102,7 +105,10 @@ def step(u: ComplexMatrix, s: WalkerState) -> WalkerState:
     if u.shape != (s.m * s.n, s.m * s.n):
         raise PreconditionError(
             f"operator shape {u.shape} does not match state dimension {s.m * s.n}")
-    return WalkerState(s.m, s.n, u @ s.amplitudes)
+    amps = u @ s.amplitudes
+    if not np.all(np.isfinite(amps)):
+        raise PreconditionError("amplitudes contain NaN or Inf")
+    return _derived(WalkerState, m=s.m, n=s.n, amplitudes=amps)
 
 
 def evolve(u: ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:
@@ -116,9 +122,24 @@ def evolve(u: ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:
 
 
 def measure_position(s: WalkerState) -> ProbabilityVector:
-    """Vertex distribution, marginalizing the coin register."""
-    mags = np.abs(s.amplitudes.reshape(s.m, s.n)) ** 2
-    return ProbabilityVector(mags.sum(axis=0))
+    """Vertex distribution, marginalizing the coin register. It sums to
+    the state's norm, which ``step`` lets drift, so only NaN/Inf are
+    rejected."""
+    probs = (np.abs(s.amplitudes.reshape(s.m, s.n)) ** 2).sum(axis=0)
+    if not np.all(np.isfinite(probs)):
+        raise PreconditionError("probabilities must be finite and nonnegative")
+    return _derived(ProbabilityVector, probs=probs)
+
+
+def _derived(cls, **fields):
+    """An instance of ``cls`` with these fields, made read-only, without
+    its normalization check: for values computed from a checked one."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def classical_transition(a: ComplexMatrix) -> ComplexMatrix:

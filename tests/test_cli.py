@@ -170,16 +170,29 @@ class TestWalk:
                      "--out", str(tmp_path / "x.csv")]) == 3
         assert "shift operator is not unitary" in capsys.readouterr().err
 
+    def test_tolerance_accepted_operator_walks_1000_steps(self, tmp_path, rng, capsys):
+        op = write_matrix(tmp_path, "u.json", haar_unitary(16, rng) * (1 + 4e-11))
+        state = tmp_path / "s0.json"
+        fileio.save_state(basis_state(2, 8, 0, 0), state)
+        assert main(["walk", op, str(state), "--steps", "1000",
+                     "--out", str(tmp_path / "w.csv")]) == 0
+        total = float(capsys.readouterr().out.split("=")[1])
+        assert total == pytest.approx((1 + 4e-11) ** 2000, abs=1e-12)  # 1 + 8e-8
+
     def test_coin_walk_checks_each_operator_once(self, setup, tmp_path, monkeypatch):
+        import qwalk.coins
         import qwalk.linalg
-        calls = []
-        residual = qwalk.linalg.unitarity_residual
+        dense, certified = [], []
+        residual, gram = qwalk.linalg.unitarity_residual, qwalk.coins.monomial_gram
         monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
-                            lambda a: calls.append(a.shape) or residual(a))
+                            lambda a: dense.append(a.shape) or residual(a))
+        monkeypatch.setattr(qwalk.coins, "monomial_gram",
+                            lambda s: certified.append(s.shape) or gram(s))
         op, state, coin = setup
         assert main(["walk", op, state, "--coin", coin, "--steps", "2",
                      "--out", str(tmp_path / "w.csv")]) == 0
-        assert calls == [(2, 2), (8, 8), (8, 8)]  # coin, S, U
+        assert dense == [(2, 2), (8, 8)]  # coin, S
+        assert certified == [(8, 8)]  # U, from the factors S and C
 
 
 class TestClassical:
@@ -278,6 +291,7 @@ class TestCompile:
 
 
 I2, Z2, I3 = (fileio.matrix_to_obj(a) for a in (np.eye(2), np.zeros((2, 2)), np.eye(3)))
+NON_SQUARE = fileio.matrix_to_obj(np.ones((2, 3)))
 
 
 class TestBadInput:
@@ -303,16 +317,23 @@ class TestBadInput:
          {"n": 4, "probs": [[0.25]] * 4}, 1),
         (["classical", "{c4}", "{file}", "--steps", "1"],
          {"n": 4, "probs": ["0.25"] * 4}, 1),
+        (["walk", "{file}", "{state}", "--steps", "1"], NON_SQUARE, 2),
+        (["extract", "{file}", "--m", "1"], NON_SQUARE, 2),
+        (["evolve-op", "{file}", "{coin}"], NON_SQUARE, 2),
     ], ids=["extract-m0", "extract-m-neg", "grid-blocks-int", "grid-rows-int",
             "matrix-entries-int", "probs-str", "probs-int", "coin-m-str",
             "grid-ragged-rows", "grid-wrong-m", "grid-wrong-n", "grid-mixed-sizes",
             "grid-m0", "matrix-int-overflow", "state-int-overflow", "probs-nested",
-            "probs-numeric-strings"])
+            "probs-numeric-strings", "walk-non-square", "extract-non-square",
+            "evolve-op-non-square"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, obj, code):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(obj))
         c4 = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
-        argv = [a.format(file=path, c4=c4) for a in argv]
+        state, coin = tmp_path / "state.json", tmp_path / "coin.json"
+        fileio.save_state(basis_state(2, 4, 0, 0), state)
+        coin.write_text('{"m": 2, "n": 4, "kind": "named", "name": "hadamard"}')
+        argv = [a.format(file=path, c4=c4, state=state, coin=coin) for a in argv]
         if argv[0] != "verify":
             argv += ["--out", str(tmp_path / "out.json")]
         assert main(argv) == code

@@ -8,6 +8,7 @@ from qwalk import (
     CoinSpec,
     NonUnitaryError,
     PreconditionError,
+    Tolerance,
     assemble_shift,
     coin_matrix,
     column_adjacency,
@@ -17,6 +18,7 @@ from qwalk import (
     kron,
     max_norm,
     named_coin,
+    unitarity_residual,
 )
 
 H = named_coin("hadamard", 2)
@@ -178,3 +180,62 @@ def test_factored_evolution_matches_dense_product(seed, d, n, coin):
         spec = CoinSpec.global_coin(named_coin(coin, d), n)
     u = evolution(shift, spec)
     assert max_norm(u - shift.matrix @ coin_matrix(spec)) <= 1e-12
+
+
+def monomial_shift(dim: int, rng) -> np.ndarray:
+    """A permutation with unit phases, some entries scaled by 1 +- 1e-11."""
+    s = np.zeros((dim, dim), dtype=np.complex128)
+    scale = 1 + rng.choice([-1e-11, 0.0, 1e-11], size=dim)
+    s[np.arange(dim), rng.permutation(dim)] = scale * np.exp(2j * np.pi * rng.random(dim))
+    return s
+
+
+def random_spec(m: int, n: int, per_vertex: bool, rng) -> CoinSpec:
+    if per_vertex:
+        return CoinSpec.per_vertex_coins([haar_unitary(m, rng) for _ in range(n)], m, n)
+    return CoinSpec.global_coin(haar_unitary(m, rng), n)
+
+
+def accepts(s, spec, tol: float) -> bool:
+    try:
+        evolution(s, spec, Tolerance(tol))
+    except NonUnitaryError:
+        return False
+    return True
+
+
+def certified_residual(s, spec) -> float:
+    """The residual ``evolution`` checks U by: at zero tolerance it raises
+    with it, unless U passes exactly."""
+    try:
+        evolution(s, spec, Tolerance(0.0))
+    except NonUnitaryError as exc:
+        return exc.residual
+    return 0.0
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 10), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_certificate_matches_dense_residual(seed, m, n, per_vertex):
+    rng = np.random.default_rng(seed)
+    s = monomial_shift(m * n, rng)
+    spec = random_spec(m, n, per_vertex, rng)
+    dense = unitarity_residual(s @ coin_matrix(spec))
+    assert certified_residual(s, spec) == pytest.approx(dense, rel=0, abs=1e-14)
+    for tol in (1e-12, 1e-10):
+        if abs(dense - tol) > 1e-13:  # away from the tolerance
+            assert accepts(s, spec, tol) == (dense <= tol)
+
+
+@pytest.mark.parametrize("kind, dense_calls", [("monomial", []), ("haar", [(6, 6)])])
+def test_only_a_non_monomial_shift_takes_the_dense_check(rng, monkeypatch, kind, dense_calls):
+    import qwalk.linalg
+    s = monomial_shift(6, rng) if kind == "monomial" else haar_unitary(6, rng)
+    spec = random_spec(2, 3, True, rng)
+    calls = []
+    residual = qwalk.linalg.unitarity_residual
+    monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
+                        lambda a: calls.append(a.shape) or residual(a))
+    u = evolution(s, spec)
+    assert calls == dense_calls
+    assert certified_residual(s, spec) == pytest.approx(residual(u), rel=0, abs=1e-14)

@@ -14,6 +14,7 @@ from qwalk import (
     max_norm,
     unitarity_residual,
 )
+from qwalk.linalg import monomial_gram
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 SWAP = np.array([[1, 0, 0, 0],
@@ -166,3 +167,12 @@ class TestMonomialUnitarityResidual:
         # n nonzeros but row 1 is empty: the monomial formula would give 0
         a = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=np.complex128)
         assert unitarity_residual(a) == dense_unitarity_residual(a) == 1.0
+        assert monomial_gram(a) is None
+        assert monomial_gram(a.T) is None  # n nonzeros, column 1 empty
+
+    def test_gram_is_the_diagonal_of_a_dagger_a(self, rng):
+        p = phase_permutation(9, rng) * rng.uniform(0.5, 1.5, size=9)
+        gram = p.conj().T @ p
+        assert np.allclose(monomial_gram(p), gram.diagonal().real, rtol=1e-15, atol=0)
+        assert max_norm(gram - np.diag(gram.diagonal())) == 0
+        assert monomial_gram(H) is None

@@ -15,6 +15,7 @@ from qwalk import (
     classical_walk,
     evolution,
     evolve,
+    is_unitary,
     matpow,
     max_norm,
     measure_position,
@@ -107,6 +108,16 @@ class TestEvolve:
         out = evolve(u, s0, 10)
         oracle = matpow(u, 10) @ s0.amplitudes
         assert max_norm(out.amplitudes - oracle) <= 1e-10
+
+    def test_tolerance_accepted_operator_walks_on(self, rng):
+        # residual 8e-11 passes the default tolerance; each step scales the
+        # norm by (1 + 4e-11)^2, and states are not renormalized
+        u = haar_unitary(16, rng) * (1 + 4e-11)
+        assert is_unitary(u)
+        out = evolve(u, basis_state(2, 8, 0, 0), 1000)
+        drift = (1 + 4e-11) ** 2000
+        assert np.sum(np.abs(out.amplitudes) ** 2) == pytest.approx(drift, abs=1e-12)
+        assert measure_position(out).probs.sum() == pytest.approx(drift, abs=1e-12)
 
 
 class TestMeasurePosition:

@@ -79,26 +79,26 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_coin(args) -> int:
-    spec = fileio.load_coin_spec(args.coin)
+    spec = fileio.load_coin_spec(args.coin, _tol(args))
     fileio.save_matrix(coin_matrix(spec), args.out)
     return EXIT_OK
 
 
 def cmd_evolve_op(args) -> int:
-    s = fileio.load_matrix(args.shift)
-    spec = fileio.load_coin_spec(args.coin)
     tol = _tol(args)
+    s = fileio.load_matrix(args.shift)
+    spec = fileio.load_coin_spec(args.coin, tol)
     require_unitary(s, tol, "shift operator")
     fileio.save_matrix(evolution(s, spec, tol), args.out)
     return EXIT_OK
 
 
 def cmd_walk(args) -> int:
-    operator = fileio.load_matrix(args.operator)
-    state = fileio.load_state(args.state)
     tol = _tol(args)
+    operator = fileio.load_matrix(args.operator)
+    state = fileio.load_state(args.state, tol)
     if args.coin is not None:
-        spec = fileio.load_coin_spec(args.coin)
+        spec = fileio.load_coin_spec(args.coin, tol)
         require_unitary(operator, tol, "shift operator")
         operator = evolution(operator, spec, tol)  # checks U itself
     else:
@@ -122,7 +122,7 @@ def cmd_walk(args) -> int:
 
 def cmd_classical(args) -> int:
     a = fileio.load_matrix(args.adjacency)
-    p0 = fileio.load_probability_vector(args.init)
+    p0 = fileio.load_probability_vector(args.init, _tol(args))
     rows = []
     for t, dist in enumerate(classical_trajectory(a, p0, args.steps)):
         if args.trajectory or t == args.steps:
@@ -161,9 +161,9 @@ def cmd_compile(args) -> int:
     grid = decompose_permutations(a)
     shift = assemble_shift(grid, tol)
     if args.coin_file is not None:
-        spec = fileio.load_coin_spec(args.coin_file)
+        spec = fileio.load_coin_spec(args.coin_file, tol)
     else:
-        spec = CoinSpec.global_coin(named_coin(args.coin_name, grid.m), grid.n)
+        spec = CoinSpec.global_coin(named_coin(args.coin_name, grid.m), grid.n, tol)
     fileio.save_matrix(evolution(shift, spec, tol), args.out)
     print(f"m = {grid.m}")
     return EXIT_OK

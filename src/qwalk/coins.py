@@ -6,7 +6,7 @@ vertex k is steered by its own coin. Unitarity is validated when the spec
 is constructed, not at use.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -39,16 +39,17 @@ class CoinSpec:
     """Coin choice for an m-dimensional coin register over n vertices.
 
     ``matrices`` holds a single m x m unitary for a global coin, or one
-    per vertex otherwise. Use the classmethods rather than the raw
-    constructor.
+    per vertex otherwise, each unitary within ``tol``. Use the
+    classmethods rather than the raw constructor.
     """
 
     m: int
     n: int
     matrices: tuple[ComplexMatrix, ...]
     per_vertex: bool
+    tol: InitVar[Tolerance] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         if self.m < 1 or self.n < 1:
             raise PreconditionError("coin dimensions must be positive")
         mats = tuple(as_matrix(c) for c in self.matrices)
@@ -60,23 +61,27 @@ class CoinSpec:
             if c.shape != (self.m, self.m):
                 raise PreconditionError(
                     f"coin must be {self.m}x{self.m}, got {c.shape}")
-            require_unitary(c, what="coin")
+            require_unitary(c, tol, "coin")
         object.__setattr__(self, "matrices", mats)
 
     @classmethod
-    def global_coin(cls, c: ComplexMatrix, n: int) -> "CoinSpec":
+    def global_coin(cls, c: ComplexMatrix, n: int,
+                    tol: Tolerance = DEFAULT_TOL) -> "CoinSpec":
         c = as_matrix(c)
-        return cls(c.shape[0], n, (c,), per_vertex=False)
+        return cls(c.shape[0], n, (c,), False, tol)
 
     @classmethod
-    def per_vertex_coins(cls, coins, m: int, n: int) -> "CoinSpec":
+    def per_vertex_coins(cls, coins, m: int, n: int,
+                         tol: Tolerance = DEFAULT_TOL) -> "CoinSpec":
         """Per-vertex coins; fewer than n entries are padded with the
         identity on the remaining vertices."""
         coins = [as_matrix(c) for c in coins]
         if len(coins) > n:
             raise PreconditionError(f"got {len(coins)} coins for {n} vertices")
+        if m < 1 or any(c.shape != (m, m) for c in coins):  # before np.eye(m)
+            raise PreconditionError(f"per-vertex coins must be {m}x{m} with m >= 1")
         coins += [np.eye(m, dtype=np.complex128)] * (n - len(coins))
-        return cls(m, n, tuple(coins), per_vertex=True)
+        return cls(m, n, tuple(coins), True, tol)
 
 
 def named_coin(name: str, m: int) -> ComplexMatrix:

@@ -7,6 +7,7 @@ json writes them (the shortest repr); floats in CSV output use
 files on every platform.
 """
 
+import cmath
 import json
 from itertools import islice
 
@@ -15,7 +16,7 @@ import numpy as np
 from .coins import CoinSpec, named_coin
 from .errors import FileFormatError
 from .graphs import Arc, Edge, MultiGraph
-from .linalg import ComplexMatrix, as_matrix
+from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, as_matrix
 from .shift import KrausGrid
 from .walk import ProbabilityVector, WalkerState
 
@@ -147,6 +148,13 @@ def _number_array(items, width: int | None, error: str) -> np.ndarray:
     return a.astype(np.float64)
 
 
+def _ints(what: str, *values) -> None:
+    """Reject integer fields that are not JSON integers (booleans are
+    not) or do not fit in 64 bits, before any of them sizes an array."""
+    if not all(type(v) is int and -2 ** 63 <= v < 2 ** 63 for v in values):
+        raise FileFormatError(f"{what} must be 64-bit integers")
+
+
 def _complex_vector(items, what: str) -> np.ndarray:
     pairs = _number_array(items, 2, f"{what} must be a list of [re, im] number pairs")
     return np.ascontiguousarray(pairs).view(np.complex128).reshape(-1)
@@ -157,9 +165,12 @@ def _pair_to_complex(pair) -> complex:
             or not all(isinstance(x, (int, float)) for x in pair)):
         raise FileFormatError(f"expected a [re, im] pair, got {pair!r}")
     try:
-        return complex(pair[0], pair[1])
+        z = complex(pair[0], pair[1])
     except OverflowError as exc:  # an integer beyond the float range
         raise FileFormatError(f"[re, im] pair out of range: {exc}") from exc
+    if not cmath.isfinite(z):
+        raise FileFormatError(f"[re, im] pair is not finite: {pair!r}")
+    return z
 
 
 def _complex_to_pair(z: complex) -> list[float]:
@@ -171,7 +182,8 @@ def matrix_from_obj(obj) -> ComplexMatrix:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"matrix object missing field: {exc}") from exc
-    if not (isinstance(rows, int) and isinstance(cols, int)) or rows < 1 or cols < 1:
+    _ints("matrix rows/cols", rows, cols)
+    if rows < 1 or cols < 1:
         raise FileFormatError("matrix rows/cols must be positive integers")
     flat = _complex_vector(entries, "matrix entries")
     if flat.size != rows * cols:
@@ -205,21 +217,30 @@ def save_matrix(a: ComplexMatrix, path) -> None:
     _save_json(_matrix_skeleton(a), path)
 
 
+def _arc(item) -> Arc:
+    tail, head, coin = item["tail"], item["head"], item.get("coin")
+    _ints("arc tail/head/coin", tail, head, 0 if coin is None else coin)
+    return Arc(tail, head, _pair_to_complex(item["w"]), coin)
+
+
+def _edge(item) -> Edge:
+    _ints("edge u/v", item["u"], item["v"])
+    return Edge(item["u"], item["v"], _pair_to_complex(item["w"]))
+
+
 def load_graph(path) -> MultiGraph:
     obj = _load_json(path)
     try:
-        arcs = tuple(
-            Arc(item["tail"], item["head"], _pair_to_complex(item["w"]),
-                item.get("coin"))
-            for item in obj.get("arcs", []))
-        undirected = tuple(
-            Edge(item["u"], item["v"], _pair_to_complex(item["w"]))
-            for item in obj.get("undirected", []))
-        names = obj.get("names")
-        return MultiGraph(obj["n"], arcs, undirected,
-                          tuple(names) if names is not None else None)
-    except (TypeError, KeyError) as exc:
+        arcs = tuple(map(_arc, obj.get("arcs", [])))
+        undirected = tuple(map(_edge, obj.get("undirected", [])))
+        n, names = obj["n"], obj.get("names")
+    except (AttributeError, TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed graph file: {exc}") from exc
+    _ints("graph n", n)
+    if names is not None and not (isinstance(names, list)
+                                  and all(isinstance(x, str) for x in names)):
+        raise FileFormatError("graph names must be a list of strings or null")
+    return MultiGraph(n, arcs, undirected, tuple(names) if names is not None else None)
 
 
 def save_graph(g: MultiGraph, path) -> None:
@@ -239,8 +260,7 @@ def load_grid(path) -> KrausGrid:
         m, n, rows = obj["m"], obj["n"], obj["blocks"]
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed grid file: {exc}") from exc
-    if not (isinstance(m, int) and isinstance(n, int)):
-        raise FileFormatError("grid m/n must be integers")
+    _ints("grid m/n", m, n)
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise FileFormatError("grid blocks must be a list of rows of matrices")
     return KrausGrid(m, n, [[matrix_from_obj(b) for b in row] for row in rows])
@@ -255,19 +275,18 @@ def save_grid(grid: KrausGrid, path) -> None:
     _save_json(obj, path)
 
 
-def load_coin_spec(path) -> CoinSpec:
+def load_coin_spec(path, tol: Tolerance = DEFAULT_TOL) -> CoinSpec:
     obj = _load_json(path)
     try:
         m, n, kind = obj["m"], obj["n"], obj["kind"]
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed coin file: {exc}") from exc
-    if not (isinstance(m, int) and isinstance(n, int)):
-        raise FileFormatError("coin m/n must be integers")
+    _ints("coin m/n", m, n)
     if kind == "named":
         name = obj.get("name")
         if not isinstance(name, str):
             raise FileFormatError("named coin requires a 'name' string")
-        return CoinSpec.global_coin(named_coin(name, m), n)
+        return CoinSpec.global_coin(named_coin(name, m), n, tol)
     matrices = obj.get("matrices")
     if not isinstance(matrices, list) or not matrices:
         raise FileFormatError(f"coin kind {kind!r} requires a 'matrices' list")
@@ -275,9 +294,9 @@ def load_coin_spec(path) -> CoinSpec:
     if kind == "global":
         if len(mats) != 1:
             raise FileFormatError("global coin takes exactly one matrix")
-        return CoinSpec.global_coin(mats[0], n)
+        return CoinSpec.global_coin(mats[0], n, tol)
     if kind == "per_vertex":
-        return CoinSpec.per_vertex_coins(mats, m, n)
+        return CoinSpec.per_vertex_coins(mats, m, n, tol)
     raise FileFormatError(f"unknown coin kind {kind!r}")
 
 
@@ -292,28 +311,33 @@ def save_coin_spec(spec: CoinSpec, path) -> None:
     _save_json(obj, path)
 
 
-def load_state(path) -> WalkerState:
+def load_state(path, tol: Tolerance = DEFAULT_TOL) -> WalkerState:
     obj = _load_json(path)
     try:
+        m, n = obj["m"], obj["n"]
         amps = _complex_vector(obj["amplitudes"], "state amplitudes")
-        return WalkerState(obj["m"], obj["n"], amps)
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed state file: {exc}") from exc
+    _ints("state m/n", m, n)
+    return WalkerState(m, n, amps, tol)
 
 
 def save_state(s: WalkerState, path) -> None:
     _save_json({"m": s.m, "n": s.n, "amplitudes": _pairs(s.amplitudes)}, path)
 
 
-def load_probability_vector(path) -> ProbabilityVector:
+def load_probability_vector(path, tol: Tolerance = DEFAULT_TOL) -> ProbabilityVector:
     obj = _load_json(path)
     try:
         probs = _number_array(obj["probs"], None, "probs must be a flat list of numbers")
     except (TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed probability file: {exc}") from exc
-    if obj.get("n") is not None and obj["n"] != probs.size:
-        raise FileFormatError("probability vector length disagrees with n")
-    return ProbabilityVector(probs)
+    n = obj.get("n")
+    if n is not None:
+        _ints("probability n", n)
+        if n != probs.size:
+            raise FileFormatError("probability vector length disagrees with n")
+    return ProbabilityVector(probs, tol)
 
 
 def save_probability_vector(p: ProbabilityVector, path) -> None:

@@ -159,8 +159,9 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise PreconditionError("adjacency matrix must be square")
-    if np.any(a.imag != 0) or np.any(a.real < 0) or np.any(a.real != np.round(a.real)):
-        raise PreconditionError("entries must be nonnegative integers")
+    if (np.any(a.imag != 0) or np.any(a.real < 0) or np.any(a.real >= 2 ** 63)
+            or np.any(a.real != np.round(a.real))):
+        raise PreconditionError("entries must be nonnegative 64-bit integers")
     target = a.real.T.astype(np.int64, order="C")  # counts of A^T
     row_sums = target.sum(axis=0)
     col_sums = target.sum(axis=1)
@@ -257,8 +258,8 @@ def extract_graph(u: ComplexMatrix, m: int,
 
     The unitary is partitioned into an m x m grid; arcs contributed by
     block column j carry coin_tag j, and the total adjacency is the sum of
-    the transposed blocks. Entries below tol.abs_eps in magnitude are
-    treated as floating-point zeros and produce no arc.
+    the transposed blocks. Zero entries, and entries below tol.abs_eps in
+    magnitude, which are treated as floating-point zeros, produce no arc.
     """
     require_unitary(u, tol, "input matrix")
     return _extract(u, m, tol)
@@ -279,6 +280,7 @@ def _extract(u: ComplexMatrix, m: int, tol: Tolerance) -> tuple[KrausGrid, Multi
     grid = KrausGrid.from_matrix(u, m)
     # graph-side adjacency of coin j: block column j summed, transposed
     adj = grid.blocks.sum(axis=0).transpose(0, 2, 1)
+    keep = (np.abs(adj) >= tol.abs_eps) & (adj != 0)
     arcs = tuple(Arc(r, c, complex(adj[j, r, c]), coin_tag=j)
-                 for j, r, c in np.argwhere(np.abs(adj) >= tol.abs_eps).tolist())
+                 for j, r, c in np.argwhere(keep).tolist())
     return grid, MultiGraph(grid.n, arcs)

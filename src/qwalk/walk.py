@@ -6,13 +6,13 @@ vector is m stacked position subvectors of length n.
 """
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .errors import PreconditionError
-from .linalg import ComplexMatrix, DEFAULT_TOL, as_matrix, max_norm
+from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, as_matrix, max_norm
 
 __all__ = [
     "WalkerState",
@@ -31,17 +31,18 @@ __all__ = [
 class WalkerState:
     """Normalized length-nm amplitude vector over coin (x) position.
 
-    Construction rejects unnormalized input instead of silently fixing it.
-    States that ``step`` computes are checked for NaN/Inf only: an
-    operator the tolerance accepts may let the norm drift a little at
-    every step, and a walk must not abort on it.
+    Construction rejects NaN/Inf, and a norm off 1 by more than ``tol``
+    instead of silently fixing it. ``tol`` None is for states computed
+    from a checked one: an operator the tolerance accepts may let the
+    norm drift a little at every step, and a walk must not abort on it.
     """
 
     m: int
     n: int
     amplitudes: NDArray[np.complex128]
+    tol: InitVar[Tolerance | None] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         if self.m < 1 or self.n < 1:
             raise PreconditionError("state dimensions must be positive")
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1)
@@ -50,11 +51,12 @@ class WalkerState:
                 f"expected {self.m * self.n} amplitudes, got {amps.shape[0]}")
         if not np.all(np.isfinite(amps)):
             raise PreconditionError("amplitudes contain NaN or Inf")
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > DEFAULT_TOL.abs_eps:
-            raise PreconditionError(
-                f"state is not normalized (|psi|^2 = {norm_sq!r}); "
-                "renormalize explicitly if that is intended")
+        if tol is not None:
+            norm_sq = float(np.sum(np.abs(amps) ** 2))
+            if abs(norm_sq - 1.0) > tol.abs_eps:
+                raise PreconditionError(
+                    f"state is not normalized (|psi|^2 = {norm_sq!r}); "
+                    "renormalize explicitly if that is intended")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -67,18 +69,22 @@ class WalkerState:
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Length-n distribution over vertices."""
+    """Length-n distribution over vertices, summing to 1 within ``tol``
+    (None: computed from a checked value, so the sum is not checked)."""
 
     probs: NDArray[np.float64]
+    tol: InitVar[Tolerance | None] = DEFAULT_TOL
 
-    def __post_init__(self):
+    def __post_init__(self, tol):
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if p.shape[0] < 1:
             raise PreconditionError("probability vector must be nonempty")
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise PreconditionError("probabilities must be finite and nonnegative")
-        if abs(float(p.sum()) - 1.0) > DEFAULT_TOL.abs_eps:
-            raise PreconditionError(f"probabilities sum to {p.sum()!r}, not 1")
+        if tol is not None:
+            total = float(p.sum())
+            if abs(total - 1.0) > tol.abs_eps:
+                raise PreconditionError(f"probabilities sum to {total!r}, not 1")
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -105,10 +111,7 @@ def step(u: ComplexMatrix, s: WalkerState) -> WalkerState:
     if u.shape != (s.m * s.n, s.m * s.n):
         raise PreconditionError(
             f"operator shape {u.shape} does not match state dimension {s.m * s.n}")
-    amps = u @ s.amplitudes
-    if not np.all(np.isfinite(amps)):
-        raise PreconditionError("amplitudes contain NaN or Inf")
-    return _derived(WalkerState, m=s.m, n=s.n, amplitudes=amps)
+    return WalkerState(s.m, s.n, u @ s.amplitudes, None)
 
 
 def evolve(u: ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:
@@ -123,23 +126,10 @@ def evolve(u: ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:
 
 def measure_position(s: WalkerState) -> ProbabilityVector:
     """Vertex distribution, marginalizing the coin register. It sums to
-    the state's norm, which ``step`` lets drift, so only NaN/Inf are
-    rejected."""
+    the state's norm, which ``step`` lets drift, so the sum is not
+    checked."""
     probs = (np.abs(s.amplitudes.reshape(s.m, s.n)) ** 2).sum(axis=0)
-    if not np.all(np.isfinite(probs)):
-        raise PreconditionError("probabilities must be finite and nonnegative")
-    return _derived(ProbabilityVector, probs=probs)
-
-
-def _derived(cls, **fields):
-    """An instance of ``cls`` with these fields, made read-only, without
-    its normalization check: for values computed from a checked one."""
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        if isinstance(value, np.ndarray):
-            value.setflags(write=False)
-        object.__setattr__(obj, name, value)
-    return obj
+    return ProbabilityVector(probs, None)
 
 
 def classical_transition(a: ComplexMatrix) -> ComplexMatrix:
@@ -163,7 +153,8 @@ def classical_transition(a: ComplexMatrix) -> ComplexMatrix:
 def classical_trajectory(a: ComplexMatrix, p0: ProbabilityVector,
                          t: int) -> Iterator[ProbabilityVector]:
     """Yield the distributions after 0, 1, ..., t steps of the update
-    rule P <- M^T P, in one pass."""
+    rule P <- M^T P, in one pass. The computed distributions are not
+    checked for their sum, so rounding drift does not abort a long walk."""
     if t < 0:
         raise PreconditionError("step count must be nonnegative")
     mt = np.ascontiguousarray(classical_transition(a).real.T)
@@ -172,7 +163,7 @@ def classical_trajectory(a: ComplexMatrix, p0: ProbabilityVector,
             f"adjacency dimension {mt.shape[0]} does not match p0 length {p0.n}")
     yield p0
     for _ in range(t):
-        p0 = ProbabilityVector(mt @ p0.probs)
+        p0 = ProbabilityVector(mt @ p0.probs, None)
         yield p0
 
 

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary
 from qwalk import (
@@ -274,6 +276,14 @@ class TestExtract:
         assert main(["extract", u, "--m", "4",
                      "--out", str(tmp_path / "g.json")]) == 2
 
+    @pytest.mark.parametrize("u", [np.eye(4), np.eye(4)[[1, 0, 3, 2]]],
+                             ids=["identity", "permutation"])
+    def test_zero_tolerance_stores_no_zero_arcs(self, tmp_path, u):
+        path = write_matrix(tmp_path, "u.json", u)
+        out = tmp_path / "g.json"
+        assert main(["extract", path, "--m", "2", "--tol", "0", "--out", str(out)]) == 0
+        assert len(fileio.load_graph(out).arcs) == 4
+
     def test_non_unitary_exits_3(self, tmp_path):
         u = write_matrix(tmp_path, "bad.json", np.ones((4, 4)))
         assert main(["extract", u, "--m", "2",
@@ -320,12 +330,22 @@ class TestBadInput:
         (["walk", "{file}", "{state}", "--steps", "1"], NON_SQUARE, 2),
         (["extract", "{file}", "--m", "1"], NON_SQUARE, 2),
         (["evolve-op", "{file}", "{coin}"], NON_SQUARE, 2),
+        (["coin", "{file}"], {"m": 2, "n": True, "kind": "named", "name": "hadamard"}, 1),
+        (["coin", "{file}"], {"m": -1, "n": 4, "kind": "per_vertex", "matrices": [I2]}, 2),
+        (["coin", "{file}"],
+         {"m": 10 ** 20, "n": 4, "kind": "per_vertex", "matrices": [I2]}, 1),
+        (["extract", "{file}", "--m", "1"], {"rows": True, "cols": 1, "entries": [[1, 0]]}, 1),
+        (["walk", "{c4}", "{file}", "--steps", "1"],
+         {"m": True, "n": 4, "amplitudes": [[1, 0]] + [[0, 0]] * 3}, 1),
+        (["assemble", "{file}"], {"m": True, "n": 2, "blocks": [[I2]]}, 1),
+        (["decompose", "{file}"], {"rows": 1, "cols": 1, "entries": [[1e20, 0]]}, 2),
     ], ids=["extract-m0", "extract-m-neg", "grid-blocks-int", "grid-rows-int",
             "matrix-entries-int", "probs-str", "probs-int", "coin-m-str",
             "grid-ragged-rows", "grid-wrong-m", "grid-wrong-n", "grid-mixed-sizes",
             "grid-m0", "matrix-int-overflow", "state-int-overflow", "probs-nested",
             "probs-numeric-strings", "walk-non-square", "extract-non-square",
-            "evolve-op-non-square"])
+            "evolve-op-non-square", "coin-n-bool", "coin-m-neg", "coin-m-huge",
+            "matrix-rows-bool", "state-m-bool", "grid-m-bool", "decompose-huge-entry"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, obj, code):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(obj))
@@ -375,3 +395,134 @@ def test_decompose_verify_roundtrip_always_passes(tmp_path, rng):
         grid = tmp_path / "grid.json"
         assert main(["decompose", adj, "--out", str(grid)]) == 0
         assert main(["verify", str(grid), "--adjacency", adj]) == 0
+
+
+class TestTolerance:
+    """--tol governs the coin's unitarity, the state's norm and the
+    distribution's sum, as it does the operators'."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        h6 = np.round(named_coin("hadamard", 2), 6)  # residual 6.2e-7
+        inputs = {
+            "eye4": fileio.matrix_to_obj(np.eye(4)),
+            "one": fileio.matrix_to_obj(np.ones((1, 1))),
+            "j2": fileio.matrix_to_obj(np.ones((2, 2))),
+            "coin": {"m": 2, "n": 2, "kind": "global",
+                     "matrices": [fileio.matrix_to_obj(h6)]},
+            "state": {"m": 1, "n": 4,
+                      "amplitudes": [[np.sqrt((1 + 1e-7) / 4), 0]] * 4},
+            "state_1e-9": {"m": 2, "n": 2, "amplitudes": [[np.sqrt(1 + 5e-10), 0]]
+                           + [[0, 0]] * 3},
+            "basis": {"m": 2, "n": 2, "amplitudes": [[1, 0]] + [[0, 0]] * 3},
+            "probs": {"n": 1, "probs": [1.0000001]},
+        }
+        paths = {}
+        for name, obj in inputs.items():
+            paths[name] = str(tmp_path / f"{name}.json")
+            with open(paths[name], "w") as f:
+                json.dump(obj, f)
+        paths["out"] = str(tmp_path / "out")
+        return paths
+
+    @pytest.mark.parametrize("argv, tol, code", [
+        (["coin", "{coin}"], "1e-5", 3),
+        (["walk", "{eye4}", "{state}", "--steps", "3"], "1e-5", 2),
+        (["classical", "{one}", "{probs}", "--steps", "3"], "1e-5", 2),
+        (["walk", "{eye4}", "{state_1e-9}", "--steps", "3"], "1e-9", 2),
+        (["evolve-op", "{eye4}", "{coin}"], "1e-5", 3),
+        (["walk", "{eye4}", "{basis}", "--coin", "{coin}", "--steps", "3"], "1e-5", 3),
+    ], ids=["coin", "state", "probs", "state-1e-9", "evolve-op-coin", "walk-coin"])
+    def test_reaches_initial_inputs(self, files, capsys, argv, tol, code):
+        argv = [a.format(**files) for a in argv] + ["--out", files["out"]]
+        assert main(argv) == code
+        assert main(argv + ["--tol", tol]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_compile_coin_file(self, files):
+        argv = ["compile", files["j2"], "--coin-file", files["coin"], "--out", files["out"]]
+        assert main(argv) == 3
+        assert main(argv + ["--tol", "1e-5"]) == 0
+
+
+H_OBJ = fileio.matrix_to_obj(named_coin("hadamard", 2))
+FUZZ_INPUTS = {
+    "c4": fileio.matrix_to_obj(cycle_adjacency(4)),
+    "shift": fileio.matrix_to_obj(assemble_shift(cycle_shift_grid(4)).matrix),
+    "grid": {"m": 2, "n": 2, "blocks": [[I2, Z2], [Z2, I2]]},
+    "coin": {"m": 2, "n": 4, "kind": "named", "name": "hadamard"},
+    "pv_coin": {"m": 2, "n": 4, "kind": "per_vertex", "matrices": [H_OBJ, H_OBJ]},
+    "state": {"m": 2, "n": 4, "amplitudes": [[1, 0]] + [[0, 0]] * 7},
+    "probs": {"n": 4, "probs": [0.25, 0.75, 0, 0]},
+}
+
+
+FUZZ_COMMANDS = [
+    ["decompose", "{c4}"],
+    ["verify", "{grid}", "--adjacency", "{c4}"],
+    ["assemble", "{grid}"],
+    ["coin", "{coin}"],
+    ["coin", "{pv_coin}"],
+    ["evolve-op", "{shift}", "{pv_coin}"],
+    ["walk", "{shift}", "{state}", "--coin", "{coin}", "--steps", "2"],
+    ["classical", "{c4}", "{probs}", "--steps", "2"],
+    ["extract", "{shift}", "--m", "2"],
+    ["compile", "{c4}", "--coin-file", "{pv_coin}"],
+]
+
+# Small integers, and integers that must be rejected before they size an
+# array; never one that would make numpy allocate much.
+FUZZ_VALUES = st.one_of(
+    st.integers(-2, 8), st.sampled_from([10 ** 20, -10 ** 20, 2 ** 63]),
+    st.booleans(), st.none(), st.sampled_from([0.5, -1.0, 1e-7, 2.0]),
+    st.text(max_size=3), st.lists(st.integers(-2, 8), max_size=3),
+    st.just({}))
+
+
+def _paths(obj, path=()):
+    """Every path into a JSON value: keys and indices, outermost first."""
+    yield path
+    children = obj.items() if isinstance(obj, dict) else enumerate(
+        obj if isinstance(obj, list) else ())
+    for key, value in children:
+        yield from _paths(value, path + (key,))
+
+
+DELETE = object()
+
+
+def _mutate(obj, path, value):
+    """A copy of ``obj`` whose value at ``path`` is ``value``, or deleted
+    when ``value`` is DELETE."""
+    if not path:
+        return value
+    obj = json.loads(json.dumps(obj))
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return obj
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_fuzzed_input_exits_0_to_4(tmp_path_factory, data):
+    argv = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    names = [a[1:-1] for a in argv if a.startswith("{")]
+    target = data.draw(st.sampled_from(names))
+    inputs = dict(FUZZ_INPUTS)
+    path = data.draw(st.sampled_from(list(_paths(inputs[target]))))
+    value = data.draw(FUZZ_VALUES | st.just(DELETE) if path else FUZZ_VALUES)
+    inputs[target] = _mutate(inputs[target], path, value)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    files = {}
+    for name in names:
+        files[name] = tmp / f"{name}.json"
+        files[name].write_text(json.dumps(inputs[name]))
+    argv = [a.format(**files) for a in argv]
+    if argv[0] != "verify":
+        argv += ["--out", str(tmp / "out.json")]
+    assert main(argv) in range(5)

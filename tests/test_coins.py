@@ -86,6 +86,21 @@ class TestCoinMatrix:
         with pytest.raises(NonUnitaryError):
             CoinSpec.global_coin(np.ones((2, 2)), 2)
 
+    def test_tolerance_is_an_argument(self):
+        h6 = np.round(H, 6)  # residual 6.2e-7
+        with pytest.raises(NonUnitaryError):
+            CoinSpec.global_coin(h6, 2)
+        with pytest.raises(NonUnitaryError):
+            CoinSpec.per_vertex_coins([h6], 2, 2)
+        loose = Tolerance(1e-5)
+        assert CoinSpec.global_coin(h6, 2, loose).m == 2
+        assert CoinSpec.per_vertex_coins([h6], 2, 2, loose).n == 2
+
+    @pytest.mark.parametrize("m", [-1, 10 ** 20])
+    def test_per_vertex_shapes_checked_before_padding(self, m):
+        with pytest.raises(PreconditionError, match="per-vertex coins"):
+            CoinSpec.per_vertex_coins([H], m, 3)
+
     def test_per_vertex_is_unitary(self, rng):
         coins = [haar_unitary(3, rng) for _ in range(4)]
         assert is_unitary(coin_matrix(CoinSpec.per_vertex_coins(coins, 3, 4)))

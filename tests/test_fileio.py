@@ -68,6 +68,32 @@ class TestGraphFormat:
         with pytest.raises(FileFormatError):
             fileio.load_graph(path)
 
+    def test_not_an_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('[]')
+        with pytest.raises(FileFormatError):
+            fileio.load_graph(path)
+
+    @pytest.mark.parametrize("change", [
+        {"n": 2.0},
+        {"n": True},
+        {"arcs": [{"tail": 0.0, "head": 1, "w": [1, 0]}]},
+        {"arcs": [{"tail": 0, "head": 1.0, "w": [1, 0]}]},
+        {"arcs": [{"tail": 0, "head": 1, "w": [1, 0], "coin": 0.0}]},
+        {"undirected": [{"u": 0, "v": True, "w": [1, 0]}]},
+        {"arcs": [{"tail": 0, "head": 1, "w": [float("nan"), 0]}]},
+        {"arcs": [{"tail": 0, "head": 1, "w": [1, float("inf")]}]},
+        {"names": "ab"},
+        {"names": ["a", 2]},
+    ], ids=["n-float", "n-bool", "tail-float", "head-float", "coin-float",
+            "edge-bool", "weight-nan", "weight-inf", "names-string", "names-int"])
+    def test_rejects_malformed(self, tmp_path, change):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"n": 2, "arcs": [], "undirected": [], "names": None,
+                                    **change}))
+        with pytest.raises(FileFormatError):
+            fileio.load_graph(path)
+
 
 class TestGridFormat:
     def test_roundtrip(self, tmp_path):

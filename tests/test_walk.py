@@ -8,6 +8,7 @@ from qwalk import (
     CoinSpec,
     PreconditionError,
     ProbabilityVector,
+    Tolerance,
     WalkerState,
     assemble_shift,
     basis_state,
@@ -48,6 +49,15 @@ class TestWalkerState:
     def test_rejects_unnormalized(self):
         with pytest.raises(PreconditionError):
             WalkerState(1, 2, np.array([1.0, 1.0]))
+
+    def test_tolerance_is_an_argument(self):
+        amps = np.full(4, np.sqrt((1 + 1e-7) / 4))
+        with pytest.raises(PreconditionError, match="not normalized"):
+            WalkerState(1, 4, amps)
+        assert WalkerState(1, 4, amps, Tolerance(1e-5)).m == 1
+        assert WalkerState(1, 4, 2 * amps, None).n == 4  # computed: norm unchecked
+        with pytest.raises(PreconditionError, match="NaN or Inf"):
+            WalkerState(1, 4, np.full(4, np.nan), None)
 
     def test_subvector(self):
         s = basis_state(2, 3, 1, 0)
@@ -138,6 +148,23 @@ class TestMeasurePosition:
         assert abs(p.probs.sum() - 1) <= 1e-12
 
 
+class TestProbabilityVector:
+    def test_sum_error_prints_a_plain_float(self):
+        with pytest.raises(PreconditionError,
+                           match=r"^probabilities sum to 1\.0000001, not 1$"):
+            ProbabilityVector(np.array([1.0000001]))
+
+    def test_tolerance_is_an_argument(self):
+        p = np.array([0.5, 0.5000001])
+        with pytest.raises(PreconditionError):
+            ProbabilityVector(p)
+        assert ProbabilityVector(p, Tolerance(1e-5)).n == 2
+        assert ProbabilityVector(2 * p, None).n == 2  # computed: sum unchecked
+        for bad in ([-0.5, 1.5], [np.nan, 1.0]):
+            with pytest.raises(PreconditionError, match="finite and nonnegative"):
+                ProbabilityVector(np.array(bad), None)
+
+
 class TestClassicalTransition:
     def test_cycle(self):
         m = classical_transition(cycle_adjacency(4))
@@ -177,6 +204,11 @@ class TestClassicalWalk:
         p0 = ProbabilityVector(np.array([1.0, 0, 0, 0]))
         out = classical_walk(cycle_adjacency(4), p0, 2)
         assert np.array_equal(out.probs, [0.5, 0, 0.5, 0])
+
+    def test_steps_do_not_recheck_the_sum(self):
+        p0 = ProbabilityVector(np.array([1 + 1e-7, 0, 0, 0]), Tolerance(1e-5))
+        p = classical_walk(cycle_adjacency(4), p0, 3)
+        assert p.probs.sum() == pytest.approx(1 + 1e-7, abs=1e-15)
 
     def test_recurrence_matches_power(self):
         p0 = ProbabilityVector(np.array([1.0, 0, 0, 0]))

@@ -40,7 +40,7 @@ def main() -> None:
     for m, grid, graph in extract_family(u):
         path = args.out_dir / f"graph_m{m}.json"
         save_graph(graph, path)
-        print(f"m={m} n={grid.n}: {len(graph.arcs)} arcs -> {path}")
+        print(f"m={m} n={grid.n}: {graph.tail.size} arcs -> {path}")
         with np.printoptions(precision=3, suppress=True):
             print(adjacency(graph))
 

@@ -3,7 +3,7 @@
 Exit-code contract (stable for shell harnesses):
   0  success
   1  I/O or parse failure
-  2  precondition violation (irregular matrix, bad dimensions, ...)
+  2  precondition violation (irregular matrix, bad dimensions, out of memory, ...)
   3  non-unitary operator
   4  verification failure (qwalk verify)
 """
@@ -136,7 +136,7 @@ def _save_extracted(m, grid, graph, out_path) -> None:
     fileio.save_graph(graph, out_path)
     adjacency_path = Path(out_path).with_suffix(".adjacency.json")
     fileio.save_matrix(grid.block_sum().T, adjacency_path)
-    print(f"m={m} n={grid.n}: {len(graph.arcs)} arcs -> {out_path} "
+    print(f"m={m} n={grid.n}: {graph.tail.size} arcs -> {out_path} "
           f"(adjacency: {adjacency_path})")
 
 
@@ -254,8 +254,8 @@ def main(argv=None) -> int:
     except NonUnitaryError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NON_UNITARY
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (PreconditionError, MemoryError) as exc:  # memory: an input sized beyond it
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_PRECONDITION
 
 

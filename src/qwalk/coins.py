@@ -80,6 +80,7 @@ class CoinSpec:
             raise PreconditionError(f"got {len(coins)} coins for {n} vertices")
         if m < 1 or any(c.shape != (m, m) for c in coins):  # before np.eye(m)
             raise PreconditionError(f"per-vertex coins must be {m}x{m} with m >= 1")
+        _require_indexable(n * m * m)
         coins += [np.eye(m, dtype=np.complex128)] * (n - len(coins))
         return cls(m, n, tuple(coins), True, tol)
 
@@ -89,6 +90,7 @@ def named_coin(name: str, m: int) -> ComplexMatrix:
     two), grover (2/m J - I) or dft (omega^(jk)/sqrt m)."""
     if m < 1:
         raise PreconditionError("coin dimension must be positive")
+    _require_indexable(m * m)
     if name == "identity":
         return np.eye(m, dtype=np.complex128)
     if name == "hadamard":
@@ -107,6 +109,12 @@ def named_coin(name: str, m: int) -> ComplexMatrix:
     raise PreconditionError(f"unknown coin name {name!r} (choose from {NAMED_COINS})")
 
 
+def _require_indexable(entries: int) -> None:
+    """Refuse, before it is allocated, a complex128 array numpy cannot index."""
+    if 16 * entries > np.iinfo(np.intp).max:
+        raise PreconditionError(f"a coin array of {entries} entries is too large")
+
+
 def _vertex_coins(spec: CoinSpec) -> np.ndarray:
     """The (n, m, m) stack of coins, entry k steering vertex k."""
     if spec.per_vertex:
@@ -120,6 +128,7 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
     C gives C (x) I_n and identical per-vertex coins give the same bytes.
     """
     m, n = spec.m, spec.n
+    _require_indexable((m * n) ** 2)
     full = np.zeros((m, n, m, n), dtype=np.complex128)
     k = np.arange(n)
     full[:, k, :, k] = _vertex_coins(spec)

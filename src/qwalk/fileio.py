@@ -14,8 +14,8 @@ from itertools import islice
 import numpy as np
 
 from .coins import CoinSpec, named_coin
-from .errors import FileFormatError
-from .graphs import Arc, Edge, MultiGraph
+from .errors import FileFormatError, PreconditionError
+from .graphs import Edge, MultiGraph
 from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, as_matrix
 from .shift import KrausGrid
 from .walk import ProbabilityVector, WalkerState
@@ -125,12 +125,6 @@ def _pairs(z):
 _ARC = {"tail": _FIELD, "head": _FIELD, "w": [_FIELD, _FIELD], "coin": _FIELD}
 
 
-def _arc_columns(arcs) -> tuple[list, ...]:
-    w = np.array([a.weight for a in arcs], dtype=np.complex128)
-    return ([a.tail for a in arcs], [a.head for a in arcs],
-            w.real.tolist(), w.imag.tolist(), [a.coin_tag for a in arcs])
-
-
 def _number_array(items, width: int | None, error: str) -> np.ndarray:
     """A JSON list of numbers (``width`` None) or of ``width``-number
     lists as a float array; booleans count as numbers, as in json."""
@@ -148,11 +142,14 @@ def _number_array(items, width: int | None, error: str) -> np.ndarray:
     return a.astype(np.float64)
 
 
-def _ints(what: str, *values) -> None:
-    """Reject integer fields that are not JSON integers (booleans are
-    not) or do not fit in 64 bits, before any of them sizes an array."""
-    if not all(type(v) is int and -2 ** 63 <= v < 2 ** 63 for v in values):
+def _ints(what: str, *values) -> np.ndarray:
+    """The values as an int64 array, refusing any that is not a JSON
+    integer (booleans are not) or does not fit in 64 bits, before any of
+    them sizes an array."""
+    if not (set(map(type, values)) <= {int}
+            and -2 ** 63 <= min(values, default=0) <= max(values, default=0) < 2 ** 63):
         raise FileFormatError(f"{what} must be 64-bit integers")
+    return np.array(values, dtype=np.int64)
 
 
 def _complex_vector(items, what: str) -> np.ndarray:
@@ -171,10 +168,6 @@ def _pair_to_complex(pair) -> complex:
     if not cmath.isfinite(z):
         raise FileFormatError(f"[re, im] pair is not finite: {pair!r}")
     return z
-
-
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
 
 
 def matrix_from_obj(obj) -> ComplexMatrix:
@@ -217,12 +210,6 @@ def save_matrix(a: ComplexMatrix, path) -> None:
     _save_json(_matrix_skeleton(a), path)
 
 
-def _arc(item) -> Arc:
-    tail, head, coin = item["tail"], item["head"], item.get("coin")
-    _ints("arc tail/head/coin", tail, head, 0 if coin is None else coin)
-    return Arc(tail, head, _pair_to_complex(item["w"]), coin)
-
-
 def _edge(item) -> Edge:
     _ints("edge u/v", item["u"], item["v"])
     return Edge(item["u"], item["v"], _pair_to_complex(item["w"]))
@@ -231,23 +218,37 @@ def _edge(item) -> Edge:
 def load_graph(path) -> MultiGraph:
     obj = _load_json(path)
     try:
-        arcs = tuple(map(_arc, obj.get("arcs", [])))
+        arcs = obj.get("arcs", [])
+        tail, head = [a["tail"] for a in arcs], [a["head"] for a in arcs]
+        w, coins = [a["w"] for a in arcs], [a.get("coin") for a in arcs]
         undirected = tuple(map(_edge, obj.get("undirected", [])))
         n, names = obj["n"], obj.get("names")
     except (AttributeError, TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed graph file: {exc}") from exc
+    tail, head = _ints("arc tail/head", *tail), _ints("arc tail/head", *head)
+    coin = _ints("arc coin", *(-1 if c is None else c for c in coins))  # -1: untagged
+    if np.count_nonzero(coin < 0) != coins.count(None):
+        raise PreconditionError("coin_tag must be nonnegative")
+    weight = _complex_vector(w, "arc weights")
+    if not np.isfinite(weight).all():
+        raise FileFormatError("arc weights must be finite")
     _ints("graph n", n)
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(x, str) for x in names)):
         raise FileFormatError("graph names must be a list of strings or null")
-    return MultiGraph(n, arcs, undirected, tuple(names) if names is not None else None)
+    return MultiGraph.from_columns(n, tail, head, weight, coin, undirected,
+                                   tuple(names) if names is not None else None)
 
 
 def save_graph(g: MultiGraph, path) -> None:
+    coin = g.coin.astype(object)  # Python ints, and None for an untagged arc
+    coin[g.coin < 0] = None
     obj = {
         "n": g.n,
-        "arcs": _records(_ARC, len(g.arcs), lambda i, j: _arc_columns(g.arcs[i:j])),
-        "undirected": [{"u": e.u, "v": e.v, "w": _complex_to_pair(e.weight)}
+        "arcs": _records(_ARC, g.tail.size, lambda i, j: (
+            g.tail[i:j].tolist(), g.head[i:j].tolist(), g.weight.real[i:j].tolist(),
+            g.weight.imag[i:j].tolist(), coin[i:j].tolist())),
+        "undirected": [{"u": e.u, "v": e.v, "w": [float(e.weight.real), float(e.weight.imag)]}
                        for e in g.undirected],
         "names": list(g.names) if g.names is not None else None,
     }

@@ -10,7 +10,7 @@ the diagonal cell, i.e. the "add to both endpoints" rule is applied
 literally even when both endpoints coincide.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -63,36 +63,80 @@ class Edge:
             raise PreconditionError("zero-weight edges are not stored")
 
 
-@dataclass(frozen=True)
+_COLUMNS = {"tail": np.int64, "head": np.int64, "weight": np.complex128, "coin": np.int64}
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class MultiGraph:
-    """Vertex count plus arc and undirected-edge lists; parallel arcs OK."""
+    """Vertex count plus arcs and undirected edges; parallel arcs OK.
+
+    Arc k runs from tail[k] to head[k] with weight[k] and coin tag
+    coin[k] (-1: untagged), stored as read-only numpy columns; ``arcs``
+    builds the Arc objects on request. ``==`` compares the content."""
 
     n: int
-    arcs: tuple[Arc, ...] = ()
-    undirected: tuple[Edge, ...] = ()
-    names: tuple[str, ...] | None = None
+    tail: np.ndarray
+    head: np.ndarray
+    weight: np.ndarray
+    coin: np.ndarray
+    undirected: tuple[Edge, ...]
+    names: tuple[str, ...] | None
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, arcs=(), undirected=(), names=None):
+        """``arcs`` is a sequence of Arc, or columns from ``from_columns``."""
+        if not isinstance(arcs, _Columns):
+            arcs = tuple(arcs)
+            arcs = ([a.tail for a in arcs], [a.head for a in arcs], [a.weight for a in arcs],
+                    [-1 if a.coin_tag is None else a.coin_tag for a in arcs])
+        tail, head, weight, coin = cols = [np.array(c, dtype=t) for c, t in
+                                           zip(arcs, _COLUMNS.values())]
+        if n < 1:
             raise PreconditionError("vertex count must be at least 1")
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "undirected", tuple(self.undirected))
-        for a in self.arcs:
-            if a.tail >= self.n or a.head >= self.n:
-                raise PreconditionError(f"arc {a} references a vertex >= n={self.n}")
-        for e in self.undirected:
-            if e.u >= self.n or e.v >= self.n:
-                raise PreconditionError(f"edge {e} references a vertex >= n={self.n}")
-        if self.names is not None and len(self.names) != self.n:
+        if tail.ndim != 1 or any(c.shape != tail.shape for c in cols):
+            raise PreconditionError("arc columns must be 1-D and of one length")
+        if np.any((np.minimum(tail, head) < 0) | (np.maximum(tail, head) >= n)):
+            raise PreconditionError(f"an arc references a vertex outside 0..{n - 1}")
+        if np.any(weight == 0):
+            raise PreconditionError("zero-weight arcs are not stored")
+        if np.any(coin < -1):
+            raise PreconditionError("coin tags must be nonnegative (-1: untagged)")
+        undirected = tuple(undirected)
+        for e in undirected:
+            if e.u >= n or e.v >= n:
+                raise PreconditionError(f"edge {e} references a vertex >= n={n}")
+        if names is not None and len(names) != n:
             raise PreconditionError("names table must have one entry per vertex")
+        for c in cols:
+            c.setflags(write=False)
+        for f, value in zip(fields(self), (n, *cols, undirected, names)):
+            object.__setattr__(self, f.name, value)
+
+    @classmethod
+    def from_columns(cls, n: int, tail, head, weight, coin,
+                     undirected=(), names=None) -> "MultiGraph":
+        """A graph whose arcs are given as (copied) columns."""
+        return cls(n, _Columns((tail, head, weight, coin)), undirected, names)
+
+    @property
+    def arcs(self) -> tuple[Arc, ...]:
+        columns = (getattr(self, c).tolist() for c in _COLUMNS)
+        return tuple(Arc(t, h, w, None if c < 0 else c) for t, h, w, c in zip(*columns))
+
+    def __eq__(self, other):
+        return (isinstance(other, MultiGraph) and self.n == other.n
+                and self.undirected == other.undirected and self.names == other.names
+                and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS))
+
+
+class _Columns(tuple):
+    """Arc columns on their way from ``from_columns`` to ``__init__``."""
 
 
 def adjacency(g: MultiGraph) -> ComplexMatrix:
     """n x n matrix with a_ij the summed weight of arcs i -> j; each
     undirected edge contributes its weight to both a_ij and a_ji."""
     a = np.zeros((g.n, g.n), dtype=np.complex128)
-    for arc in g.arcs:
-        a[arc.tail, arc.head] += arc.weight
+    np.add.at(a, (g.tail, g.head), g.weight)  # unbuffered, in arc order
     for e in g.undirected:
         a[e.u, e.v] += e.weight
         a[e.v, e.u] += e.weight
@@ -129,15 +173,11 @@ def union(graphs) -> MultiGraph:
     if not graphs:
         raise PreconditionError("union of zero graphs is undefined")
     n = graphs[0].n
-    for g in graphs[1:]:
-        if g.n != n:
-            raise PreconditionError(f"vertex-count mismatch: {g.n} != {n}")
-    arcs: list[Arc] = []
-    edges: list[Edge] = []
-    for g in graphs:
-        arcs.extend(g.arcs)
-        edges.extend(g.undirected)
-    return MultiGraph(n, tuple(arcs), tuple(edges))
+    if any(g.n != n for g in graphs):
+        raise PreconditionError(f"vertex-count mismatch: {[g.n for g in graphs]}")
+    return MultiGraph.from_columns(
+        n, *(np.concatenate([getattr(g, c) for g in graphs]) for c in _COLUMNS),
+        undirected=[e for g in graphs for e in g.undirected])
 
 
 def from_adjacency(a: ComplexMatrix) -> MultiGraph:
@@ -147,7 +187,6 @@ def from_adjacency(a: ComplexMatrix) -> MultiGraph:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise PreconditionError("adjacency matrix must be square")
-    n = a.shape[0]
-    arcs = tuple(Arc(i, j, complex(a[i, j]))
-                 for i in range(n) for j in range(n) if a[i, j] != 0)
-    return MultiGraph(n, arcs)
+    tail, head = np.nonzero(a)
+    return MultiGraph.from_columns(a.shape[0], tail, head, a[tail, head],
+                                   np.full(tail.size, -1))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUnitaryError, PreconditionError
-from .graphs import Arc, MultiGraph
+from .graphs import MultiGraph
 from .linalg import (
     ComplexMatrix,
     Tolerance,
@@ -281,6 +281,5 @@ def _extract(u: ComplexMatrix, m: int, tol: Tolerance) -> tuple[KrausGrid, Multi
     # graph-side adjacency of coin j: block column j summed, transposed
     adj = grid.blocks.sum(axis=0).transpose(0, 2, 1)
     keep = (np.abs(adj) >= tol.abs_eps) & (adj != 0)
-    arcs = tuple(Arc(r, c, complex(adj[j, r, c]), coin_tag=j)
-                 for j, r, c in np.argwhere(keep).tolist())
-    return grid, MultiGraph(grid.n, arcs)
+    coin, tail, head = np.nonzero(keep)  # in (coin, tail, head) C order
+    return grid, MultiGraph.from_columns(grid.n, tail, head, adj[coin, tail, head], coin)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary
 from qwalk import (
+    Arc,
     ProbabilityVector,
     adjacency,
     assemble_shift,
@@ -271,6 +276,21 @@ class TestExtract:
                      "--out", str(tmp_path / "family.json")]) == 0
         assert calls == [(8, 8)]
 
+    def test_all_partitions_builds_no_arc_objects(self, tmp_path, rng, monkeypatch, capsys):
+        built = []
+        init = Arc.__init__
+        monkeypatch.setattr(Arc, "__init__",
+                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+        u = write_matrix(tmp_path, "u12.json", haar_unitary(12, rng))
+        out = tmp_path / "family.json"
+        assert main(["extract", u, "--all-partitions", "--out", str(out)]) == 0
+        assert built == []
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(": ")[1].split()[0] for line in lines] == [
+            str(144 // m) for m in (1, 2, 3, 4, 6, 12)]
+        assert len(fileio.load_graph(tmp_path / "family.m2.json").arcs) == 72
+        assert len(built) == 72  # the counter sees arcs built on request
+
     def test_non_divisible_exits_2(self, tmp_path, rng):
         u = write_matrix(tmp_path, "u6.json", haar_unitary(6, rng))
         assert main(["extract", u, "--m", "4",
@@ -386,6 +406,40 @@ class TestBadInput:
         assert main(["verify", str(path)]) == 1
         err = capsys.readouterr().err
         assert "integers" in err and "Traceback" not in err
+
+
+# Sets a 1.5 GB address-space limit on itself only, so that an input that
+# sizes more memory than exists fails at once instead of being allocated.
+LIMITED_CHILD = """
+import resource, sys
+from qwalk.cli import main
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = 1536 * 2 ** 20 if hard == resource.RLIM_INFINITY else min(hard, 1536 * 2 ** 20)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("command, obj", [
+    ("decompose", {"rows": 1, "cols": 1, "entries": [[20000, 0]]}),
+    ("coin", {"m": 1, "n": 2 ** 42, "kind": "per_vertex",
+              "matrices": [fileio.matrix_to_obj(np.eye(1))]}),
+    ("coin", {"m": 2 ** 42, "n": 1, "kind": "named", "name": "identity"}),
+    ("coin", {"m": 2 ** 62, "n": 1, "kind": "named", "name": "hadamard"}),
+    ("coin", {"m": 2, "n": 2 ** 42, "kind": "named", "name": "hadamard"}),
+], ids=["decompose-d20000", "per-vertex-n-2**42", "identity-m-2**42", "hadamard-m-2**62",
+        "global-n-2**42"])
+def test_more_memory_than_exists_exits_2(tmp_path, command, obj):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", LIMITED_CHILD, command, str(path),
+         "--out", str(tmp_path / "out.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
 
 
 def test_decompose_verify_roundtrip_always_passes(tmp_path, rng):

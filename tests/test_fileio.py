@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from qwalk import (
     WalkerState,
     basis_state,
     coin_matrix,
+    extract_graph,
     named_coin,
 )
 from qwalk import fileio
@@ -199,6 +201,11 @@ def pair_list(z) -> list:
     return [[float(w.real), float(w.imag)] for w in np.asarray(z).reshape(-1)]
 
 
+def arc_records(g) -> list:
+    return [{"tail": a.tail, "head": a.head, "w": [a.weight.real, a.weight.imag],
+             "coin": a.coin_tag} for a in g.arcs]
+
+
 def matrix_obj(a) -> dict:
     return {"rows": a.shape[0], "cols": a.shape[1], "entries": pair_list(a)}
 
@@ -310,12 +317,34 @@ class TestWriterBytes:
         w = with_specials(rng.normal(size=count) + 1j * rng.normal(size=count))
         arcs = tuple(Arc(k % 7, k % 5, complex(z), None if k % 3 else k % 4)
                      for k, z in enumerate(w))
+        g = MultiGraph(7, arcs)
+        obj = {"n": 7, "arcs": arc_records(g), "undirected": [], "names": None}
+        assert saved_bytes(fileio.save_graph, g, tmp_path) == reference_bytes(obj)
+
+    @pytest.mark.parametrize("size", [fileio.CHUNK - 1, fileio.CHUNK, 2 * fileio.CHUNK + 3])
+    def test_extracted_graph_across_chunks(self, tmp_path, rng, size):
+        # a Haar block of side a and b fixed points: a * a + b arcs at m = 1
+        a = math.isqrt(size)
+        u = np.eye(a + size - a * a, dtype=np.complex128)
+        u[:a, :a] = haar_unitary(a, rng)
+        _, g = extract_graph(u, 1)
+        assert g.tail.size == size
+        obj = {"n": g.n, "arcs": arc_records(g), "undirected": [], "names": None}
+        assert saved_bytes(fileio.save_graph, g, tmp_path) == reference_bytes(obj)
+
+    def test_graph_resave_keeps_bytes(self, tmp_path, rng):
+        count = fileio.CHUNK + 1
+        w = with_specials(rng.normal(size=count) + 1j * rng.normal(size=count))
         obj = {"n": 7,
-               "arcs": [{"tail": a.tail, "head": a.head,
-                         "w": [a.weight.real, a.weight.imag], "coin": a.coin_tag}
-                        for a in arcs],
-               "undirected": [], "names": None}
-        assert saved_bytes(fileio.save_graph, MultiGraph(7, arcs), tmp_path) == reference_bytes(obj)
+               "arcs": [{"tail": k % 7, "head": k % 5, "w": [z.real, z.imag],
+                         "coin": None if k % 3 else k % 4} for k, z in enumerate(w.tolist())],
+               "undirected": [{"u": 0, "v": 6, "w": [-0.0, 2.5]},
+                              {"u": 3, "v": 3, "w": [1.0, 5e-324]}],
+               "names": [f"v{k}" for k in range(7)]}
+        path = tmp_path / "in.json"
+        path.write_bytes(reference_bytes(obj))
+        resaved = saved_bytes(fileio.save_graph, fileio.load_graph(path), tmp_path)
+        assert resaved == path.read_bytes()
 
     @pytest.mark.parametrize("size", [0, 1, fileio.CHUNK + 1])
     def test_csv(self, tmp_path, rng, size):

@@ -121,12 +121,50 @@ class TestFromAdjacency:
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         assert np.array_equal(adjacency(from_adjacency(a)), a)
 
+    def test_arcs_in_row_major_order(self, rng):
+        a = (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))) * (rng.random((5, 5)) < 0.5)
+        a[0, 0] = -0.0
+        assert from_adjacency(a).arcs == tuple(
+            Arc(i, j, complex(a[i, j])) for i in range(5) for j in range(5) if a[i, j] != 0)
+
 
 def test_invalid_graph_rejected():
     with pytest.raises(PreconditionError):
         MultiGraph(2, arcs=(Arc(0, 5, 1.0),))
     with pytest.raises(PreconditionError):
         MultiGraph(0)
+
+
+@pytest.mark.parametrize("columns", [
+    ([0], [2], [1.0], [0]),
+    ([-1], [0], [1.0], [0]),
+    ([0], [1], [0.0], [0]),
+    ([0], [1], [1.0], [-2]),
+    ([0, 1], [1], [1.0, 1.0], [0, 0]),
+], ids=["head-n", "tail-neg", "zero-weight", "coin-below-untagged", "ragged"])
+def test_invalid_columns_rejected(columns):
+    with pytest.raises(PreconditionError):
+        MultiGraph.from_columns(2, *columns)
+
+
+def test_columns_and_arcs_build_one_graph():
+    g = MultiGraph.from_columns(3, [0, 2], [1, 1], [1.0, -2j], [-1, 4])
+    assert g == MultiGraph(3, (Arc(0, 1, 1.0), Arc(2, 1, -2j, coin_tag=4)))
+    assert g.arcs == (Arc(0, 1, 1.0), Arc(2, 1, -2j, coin_tag=4))
+    assert g != MultiGraph(3, (Arc(2, 1, -2j, coin_tag=4), Arc(0, 1, 1.0)))
+    with pytest.raises(ValueError):
+        g.tail[0] = 1  # read-only
+
+
+def loop_adjacency(g: MultiGraph) -> np.ndarray:
+    """The per-arc loop adjacency replaced, kept as its bit-exact reference."""
+    a = np.zeros((g.n, g.n), dtype=np.complex128)
+    for arc in g.arcs:
+        a[arc.tail, arc.head] += arc.weight
+    for e in g.undirected:
+        a[e.u, e.v] += e.weight
+        a[e.v, e.u] += e.weight
+    return a
 
 
 @st.composite
@@ -150,6 +188,7 @@ def multigraphs(draw):
 def test_union_additivity_property(graphs):
     n = max(g.n for g in graphs)
     graphs = [MultiGraph(n, g.arcs, g.undirected) for g in graphs]
+    assert union(graphs).arcs == sum((g.arcs for g in graphs), ())
     total = adjacency(union(graphs))
     # summation order differs between the two sides, so allow rounding
     assert max_norm(total - sum(adjacency(g) for g in graphs)) <= 1e-12
@@ -166,3 +205,9 @@ def test_split_invariance_property(g):
         arcs.extend(split_undirected(e))
     after = adjacency(MultiGraph(g.n, tuple(arcs)))
     assert max_norm(after - before) <= 1e-12
+
+
+@given(multigraphs())
+@settings(max_examples=40, deadline=None)
+def test_adjacency_matches_per_arc_loop(g):
+    assert np.array_equal(adjacency(g), loop_adjacency(g))

@@ -5,9 +5,13 @@ from hypothesis import strategies as st
 
 from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, right_shift
 from qwalk import (
+    DEFAULT_TOL,
+    Arc,
     KrausGrid,
+    MultiGraph,
     NonUnitaryError,
     PreconditionError,
+    Tolerance,
     adjacency,
     assemble_shift,
     column_adjacency,
@@ -185,6 +189,44 @@ class TestExtractGraph:
     def test_non_divisible_rejected(self, rng):
         with pytest.raises(PreconditionError):
             extract_graph(haar_unitary(6, rng), 4)
+
+
+def reference_arcs(grid: KrausGrid, tol=DEFAULT_TOL) -> tuple[Arc, ...]:
+    """Per-arc extraction, one Arc per np.argwhere cell of the per-coin
+    adjacencies in (coin, tail, head) order: the oracle for the columns."""
+    adj = grid.blocks.sum(axis=0).transpose(0, 2, 1)
+    keep = (np.abs(adj) >= tol.abs_eps) & (adj != 0)
+    return tuple(Arc(r, c, complex(adj[j, r, c]), coin_tag=j)
+                 for j, r, c in np.argwhere(keep).tolist())
+
+
+@pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(abs_eps=0.2)],
+                         ids=["default", "drops-small"])
+def test_extracted_columns_match_per_arc_reference(rng, tol):
+    counts = []
+    for m, grid, graph in extract_family(haar_unitary(12, rng), tol):
+        assert graph.arcs == reference_arcs(grid, tol)
+        counts.append(len(graph.arcs))
+    assert (counts[0] < 12 * 12) == (tol is not DEFAULT_TOL)  # small entries dropped
+
+
+@st.composite
+def permutation_sums(draw):
+    """A d-regular multigraph on n vertices: the sum of d seeded permutations."""
+    n, d = draw(st.integers(1, 12)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return MultiGraph(n, tuple(Arc(k, int(p[k])) for p in
+                               (rng.permutation(n) for _ in range(d)) for k in range(n)))
+
+
+@given(permutation_sums())
+@settings(max_examples=60, deadline=None)
+def test_graph_roundtrip_property(g):
+    a = adjacency(g)
+    shift = assemble_shift(decompose_permutations(a))
+    grid, extracted = extract_graph(shift.matrix, shift.m)
+    assert np.array_equal(adjacency(extracted), a)
+    assert extracted.arcs == reference_arcs(grid)
 
 
 class TestExtractFamily:

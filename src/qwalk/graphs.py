@@ -10,7 +10,7 @@ the diagonal cell, i.e. the "add to both endpoints" rule is applied
 literally even when both endpoints coincide.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,7 @@ class Edge:
             raise PreconditionError("zero-weight edges are not stored")
 
 
-_COLUMNS = {"tail": np.int64, "head": np.int64, "weight": np.complex128, "coin": np.int64}
+_COLUMNS = ("tail", "head", "weight", "coin")
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -83,16 +83,27 @@ class MultiGraph:
     names: tuple[str, ...] | None
 
     def __init__(self, n: int, arcs=(), undirected=(), names=None):
-        """``arcs`` is a sequence of Arc, or columns from ``from_columns``."""
-        if not isinstance(arcs, _Columns):
-            arcs = tuple(arcs)
-            arcs = ([a.tail for a in arcs], [a.head for a in arcs], [a.weight for a in arcs],
-                    [-1 if a.coin_tag is None else a.coin_tag for a in arcs])
-        tail, head, weight, coin = cols = [np.array(c, dtype=t) for c, t in
-                                           zip(arcs, _COLUMNS.values())]
+        arcs = tuple(arcs)
+        self._hold(n, [a.tail for a in arcs], [a.head for a in arcs], [a.weight for a in arcs],
+                   [-1 if a.coin_tag is None else a.coin_tag for a in arcs], undirected, names)
+
+    @classmethod
+    def from_columns(cls, n: int, tail, head, weight, coin,
+                     undirected=(), names=None) -> "MultiGraph":
+        """A graph whose arcs are given as (copied) integer and complex columns."""
+        g = object.__new__(cls)
+        g._hold(n, tail, head, weight, coin, undirected, names)
+        return g
+
+    def _hold(self, n, tail, head, weight, coin, undirected, names) -> None:
+        ints = [np.asarray(c) for c in (tail, head, coin)]
+        if any(c.size and not np.can_cast(c.dtype, np.int64) for c in ints):  # no float
+            raise PreconditionError("arc endpoints and coin tags must be 64-bit integers")
+        tail, head, coin = (c.astype(np.int64) for c in ints)
+        weight = np.array(weight, dtype=np.complex128)
         if n < 1:
             raise PreconditionError("vertex count must be at least 1")
-        if tail.ndim != 1 or any(c.shape != tail.shape for c in cols):
+        if tail.ndim != 1 or any(c.shape != tail.shape for c in (head, weight, coin)):
             raise PreconditionError("arc columns must be 1-D and of one length")
         if np.any((np.minimum(tail, head) < 0) | (np.maximum(tail, head) >= n)):
             raise PreconditionError(f"an arc references a vertex outside 0..{n - 1}")
@@ -106,16 +117,10 @@ class MultiGraph:
                 raise PreconditionError(f"edge {e} references a vertex >= n={n}")
         if names is not None and len(names) != n:
             raise PreconditionError("names table must have one entry per vertex")
-        for c in cols:
+        for c in (tail, head, weight, coin):
             c.setflags(write=False)
-        for f, value in zip(fields(self), (n, *cols, undirected, names)):
-            object.__setattr__(self, f.name, value)
-
-    @classmethod
-    def from_columns(cls, n: int, tail, head, weight, coin,
-                     undirected=(), names=None) -> "MultiGraph":
-        """A graph whose arcs are given as (copied) columns."""
-        return cls(n, _Columns((tail, head, weight, coin)), undirected, names)
+        vars(self).update(n=n, tail=tail, head=head, weight=weight, coin=coin,
+                          undirected=undirected, names=names)
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
@@ -127,9 +132,9 @@ class MultiGraph:
                 and self.undirected == other.undirected and self.names == other.names
                 and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS))
 
-
-class _Columns(tuple):
-    """Arc columns on their way from ``from_columns`` to ``__init__``."""
+    def __hash__(self):  # not of the weights: 0.0 and -0.0 are equal but differ in bytes
+        return hash((self.n, self.tail.tobytes(), self.head.tobytes(), self.coin.tobytes(),
+                     self.undirected, self.names))
 
 
 def adjacency(g: MultiGraph) -> ComplexMatrix:

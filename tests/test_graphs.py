@@ -133,6 +133,8 @@ def test_invalid_graph_rejected():
         MultiGraph(2, arcs=(Arc(0, 5, 1.0),))
     with pytest.raises(PreconditionError):
         MultiGraph(0)
+    with pytest.raises(PreconditionError):  # not truncated to vertex 0
+        MultiGraph(3, arcs=(Arc(0.5, 1),))
 
 
 @pytest.mark.parametrize("columns", [
@@ -141,10 +143,22 @@ def test_invalid_graph_rejected():
     ([0], [1], [0.0], [0]),
     ([0], [1], [1.0], [-2]),
     ([0, 1], [1], [1.0, 1.0], [0, 0]),
-], ids=["head-n", "tail-neg", "zero-weight", "coin-below-untagged", "ragged"])
+    ([1.7], [0], [1.0], [0]),
+    ([0], [1], [1.0], [0.5]),
+    (np.array([1], dtype=np.uint64), [0], [1.0], [0]),
+    ([0], [1], [1.0], [2 ** 64 - 1]),
+], ids=["head-n", "tail-neg", "zero-weight", "coin-below-untagged", "ragged",
+        "float-tail", "float-coin", "uint64-tail", "coin-past-int64"])
 def test_invalid_columns_rejected(columns):
     with pytest.raises(PreconditionError):
         MultiGraph.from_columns(2, *columns)
+
+
+def test_equal_graphs_hash_equal():
+    g = MultiGraph(3, (Arc(0, 1, complex(-0.0, 1.0)), Arc(2, 2, coin_tag=1)), (Edge(0, 2),))
+    h = MultiGraph.from_columns(3, [0, 2], [1, 2], [1j, 1.0], [-1, 1], (Edge(0, 2),))
+    assert g == h and hash(g) == hash(h)
+    assert len({g, h, MultiGraph(3)}) == 2
 
 
 def test_columns_and_arcs_build_one_graph():

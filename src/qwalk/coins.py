@@ -15,9 +15,10 @@ from .linalg import (
     ComplexMatrix,
     Tolerance,
     DEFAULT_TOL,
+    _require_indexable,
     as_matrix,
     max_norm,
-    monomial_gram,
+    monomial,
     require_unitary,
 )
 from .shift import KrausGrid, ShiftOperator
@@ -80,7 +81,7 @@ class CoinSpec:
             raise PreconditionError(f"got {len(coins)} coins for {n} vertices")
         if m < 1 or any(c.shape != (m, m) for c in coins):  # before np.eye(m)
             raise PreconditionError(f"per-vertex coins must be {m}x{m} with m >= 1")
-        _require_indexable(n * m * m)
+        _require_indexable(n * m * m, "a coin array")
         coins += [np.eye(m, dtype=np.complex128)] * (n - len(coins))
         return cls(m, n, tuple(coins), True, tol)
 
@@ -90,7 +91,7 @@ def named_coin(name: str, m: int) -> ComplexMatrix:
     two), grover (2/m J - I) or dft (omega^(jk)/sqrt m)."""
     if m < 1:
         raise PreconditionError("coin dimension must be positive")
-    _require_indexable(m * m)
+    _require_indexable(m * m, "a coin array")
     if name == "identity":
         return np.eye(m, dtype=np.complex128)
     if name == "hadamard":
@@ -109,12 +110,6 @@ def named_coin(name: str, m: int) -> ComplexMatrix:
     raise PreconditionError(f"unknown coin name {name!r} (choose from {NAMED_COINS})")
 
 
-def _require_indexable(entries: int) -> None:
-    """Refuse, before it is allocated, a complex128 array numpy cannot index."""
-    if 16 * entries > np.iinfo(np.intp).max:
-        raise PreconditionError(f"a coin array of {entries} entries is too large")
-
-
 def _vertex_coins(spec: CoinSpec) -> np.ndarray:
     """The (n, m, m) stack of coins, entry k steering vertex k."""
     if spec.per_vertex:
@@ -128,7 +123,7 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
     C gives C (x) I_n and identical per-vertex coins give the same bytes.
     """
     m, n = spec.m, spec.n
-    _require_indexable((m * n) ** 2)
+    _require_indexable((m * n) ** 2, "a coin array")
     full = np.zeros((m, n, m, n), dtype=np.complex128)
     k = np.arange(n)
     full[:, k, :, k] = _vertex_coins(spec)
@@ -138,28 +133,42 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
 def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
               tol: Tolerance = DEFAULT_TOL) -> ComplexMatrix:
     """One-step evolution operator S (C (x) I_n): the shift applied after
-    the coin, in O(m^3 n^2) on the (m, n, m, n) view of S.
+    the coin.
 
-    U is certified from its factors when S is monomial, as every
-    decomposed or assembled shift is: S†S = D is diagonal, so U†U =
-    (C (x) I)† D (C (x) I) is block-diagonal by vertex, and the residual
-    of U is the max over k of |C_k† diag(D[i n + k] for i < m) C_k - I|,
-    in O(N + n m^3). Any other S takes the dense check of U."""
-    s = shift.matrix if isinstance(shift, ShiftOperator) else as_matrix(shift)
+    When S is monomial, as every decomposed or assembled shift is, with
+    (S x)[r] = phase[r] x[perm[r]] and perm[r] = i n + v, U is one
+    scatter, U[r, j n + v] = phase[r] C_v[i, j], and is certified from its
+    factors: S†S = D is diagonal, so U†U = (C (x) I)† D (C (x) I) is
+    block-diagonal by vertex, and the residual of U is the max over k of
+    |C_k† diag(D[i n + k] for i < m) C_k - I|, in O(N m + n m^3). Any
+    other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S and
+    the dense check of U."""
+    if isinstance(shift, ShiftOperator):
+        shape, mono = (shift.m * shift.n,) * 2, shift.grid.monomial()
+    else:
+        shift = as_matrix(shift)
+        shape, mono = shift.shape, monomial(shift)
     m, n = spec.m, spec.n
-    if s.shape != (m * n, m * n):
+    if shape != (m * n, m * n):
         raise PreconditionError(
-            f"shift {s.shape} and coin {(m * n, m * n)} dimensions disagree")
+            f"shift {shape} and coin {(m * n, m * n)} dimensions disagree")
     coins = _vertex_coins(spec)
-    u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins).reshape(m * n, m * n)
-    gram = monomial_gram(s)
-    if gram is None:
-        return require_unitary(u, tol, "evolution operator")
-    weights = gram.reshape(m, n).T[:, :, None]  # (n, m, 1): D of vertex k, coin i
+    if mono is None:
+        s = shift.matrix if isinstance(shift, ShiftOperator) else shift
+        u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins)
+        return require_unitary(u.reshape(m * n, m * n), tol, "evolution operator")
+    perm, phase = mono
+    i, v = np.divmod(perm, n)
+    u = np.zeros((m * n, m, n), dtype=np.complex128)
+    # einsum, not *, so that each entry is rounded as the einsum below rounds it
+    u[np.arange(m * n), :, v] = np.einsum("r,rj->rj", phase, coins[v, i])
+    weights = np.empty(m * n)
+    weights[perm] = np.abs(phase) ** 2  # D, the diagonal of S†S
+    weights = weights.reshape(m, n).T[:, :, None]  # (n, m, 1): D of vertex k, coin i
     r = max_norm(coins.conj().transpose(0, 2, 1) @ (weights * coins) - np.eye(m))
     if r > tol.abs_eps:
         raise NonUnitaryError(f"evolution operator is not unitary (residual {r:.3e})", r)
-    return u
+    return u.reshape(m * n, m * n)
 
 
 def column_adjacency(u: ComplexMatrix, m: int, j: int) -> ComplexMatrix:

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .errors import NonUnitaryError, PreconditionError
+
 ComplexMatrix = NDArray[np.complex128]
 
 __all__ = [
@@ -22,7 +24,7 @@ __all__ = [
     "kron",
     "matpow",
     "max_norm",
-    "monomial_gram",
+    "monomial",
     "unitarity_residual",
     "is_unitary",
     "require_unitary",
@@ -73,31 +75,29 @@ def max_norm(a) -> float:
     return float(np.max(np.abs(a))) if a.size else 0.0
 
 
-def monomial_gram(a: ComplexMatrix) -> NDArray[np.float64] | None:
-    """diag(a†a) when ``a`` is monomial (one nonzero per row and column,
-    e.g. a permutation shift), else None. Then a†a is that diagonal: entry
-    j is |a_ij|^2 for the one nonzero a_ij of column j. ``a`` is a square
-    matrix already checked by ``as_matrix``."""
-    nonzero = a != 0
+def monomial(a: ComplexMatrix) -> tuple[NDArray[np.int64], ComplexMatrix] | None:
+    """(perm, phase) with (a x)[r] = phase[r] x[perm[r]] when ``a`` is a
+    square monomial matrix (one nonzero per row and column, e.g. a
+    permutation shift), else None. Then a†a is diagonal, entry perm[r]
+    being |phase[r]|^2. ``a`` is already checked by ``as_matrix``."""
     n = a.shape[0]
-    if np.count_nonzero(nonzero) != n:
+    if a.shape != (n, n):
         return None
-    rows, cols = np.nonzero(nonzero)
-    if not (np.array_equal(rows, np.arange(n))
-            and np.array_equal(np.sort(cols), np.arange(n))):
+    rows, cols = np.nonzero(a)
+    if not np.array_equal(rows, np.arange(n)):
         return None
-    gram = np.empty(n)
-    gram[cols] = np.abs(a[rows, cols]) ** 2
-    return gram
+    hit = np.zeros(n, dtype=bool)
+    hit[cols] = True
+    return (cols, a[rows, cols]) if hit.all() else None
 
 
 def unitarity_residual(a: ComplexMatrix) -> float:
     """max-norm of a†a - I; zero iff the columns are orthonormal. Exact
     and O(N) for monomial matrices, whose a†a is diagonal."""
     a = _require_square(a)
-    gram = monomial_gram(a)
-    if gram is not None:
-        return max_norm(gram - 1.0)
+    mono = monomial(a)
+    if mono is not None:
+        return max_norm(np.abs(mono[1]) ** 2 - 1.0)
     return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
 
 
@@ -109,8 +109,6 @@ def require_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL,
                     what: str = "matrix") -> ComplexMatrix:
     """Return ``a`` unchanged, raising PreconditionError if it is not a
     square matrix and NonUnitaryError past tolerance."""
-    from .errors import NonUnitaryError, PreconditionError
-
     shape = np.shape(a)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise PreconditionError(f"{what} must be a square matrix, got shape {shape}")
@@ -118,6 +116,12 @@ def require_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL,
     if r > tol.abs_eps:
         raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
     return a
+
+
+def _require_indexable(entries: int, what: str) -> None:
+    """Refuse, before it is allocated, a complex128 array numpy cannot index."""
+    if 16 * entries > np.iinfo(np.intp).max:
+        raise PreconditionError(f"{what} of {entries} entries is too large")
 
 
 def _require_square(a) -> ComplexMatrix:

@@ -26,8 +26,10 @@ from .linalg import (
     ComplexMatrix,
     Tolerance,
     DEFAULT_TOL,
+    _require_indexable,
     as_matrix,
     max_norm,
+    monomial,
     require_unitary,
     unitarity_residual,
 )
@@ -47,14 +49,19 @@ __all__ = [
 @dataclass(frozen=True, init=False)
 class KrausGrid:
     """An m x m grid of n x n blocks (the candidate blocks of a shift
-    operator), stored once as the read-only nm x nm matrix S; ``blocks``
-    is its (m, m, n, n) view, blocks[i][j] = S[in:(i+1)n, jn:(j+1)n].
-    Completeness is not enforced at construction; use ``verify_kraus`` or
-    ``assemble_shift``."""
+    operator), which together form the nm x nm matrix S; ``blocks`` is
+    its (m, m, n, n) view, blocks[i][j] = S[in:(i+1)n, jn:(j+1)n].
+
+    A grid holds S once: as the read-only dense matrix when built from
+    blocks or a matrix, or, when ``decompose_permutations`` builds it, as
+    a monomial S in permutation form (perm, phase), with (S x)[r] =
+    phase[r] x[perm[r]], in O(nm). ``matrix`` and ``blocks`` build dense
+    S from that form on each request. Completeness is not enforced at
+    construction; use ``verify_kraus`` or ``assemble_shift``."""
 
     m: int
     n: int
-    matrix: ComplexMatrix
+    _s: ComplexMatrix | tuple[np.ndarray, ComplexMatrix]  # dense S, or (perm, phase)
 
     def __init__(self, m: int, n: int, blocks):
         """``blocks`` is any array-like of shape (m, m, n, n)."""
@@ -67,13 +74,24 @@ class KrausGrid:
             raise PreconditionError(shape_error) from exc
         if b.shape != (m, m, n, n):
             raise PreconditionError(f"{shape_error}, got shape {b.shape}")
-        self._hold(m, n, as_matrix(b.transpose(0, 2, 1, 3).reshape(m * n, m * n)))
-
-    def _hold(self, m: int, n: int, s: ComplexMatrix) -> None:
+        s = as_matrix(b.transpose(0, 2, 1, 3).reshape(m * n, m * n))
         s.setflags(write=False)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "matrix", s)
+        object.__setattr__(self, "_s", s)
+
+    @classmethod
+    def _permutation(cls, m: int, n: int, perm: np.ndarray,
+                     phase: ComplexMatrix) -> "KrausGrid":
+        """The grid of the monomial S with (S x)[r] = phase[r] x[perm[r]];
+        ``perm`` is a permutation of range(nm) and ``phase`` finite."""
+        grid = cls.__new__(cls)
+        object.__setattr__(grid, "m", m)
+        object.__setattr__(grid, "n", n)
+        object.__setattr__(grid, "_s", (perm, phase))
+        perm.setflags(write=False)
+        phase.setflags(write=False)
+        return grid
 
     @classmethod
     def from_matrix(cls, u: ComplexMatrix, m: int) -> "KrausGrid":
@@ -89,24 +107,51 @@ class KrausGrid:
         return cls(m, n, u.reshape(m, n, m, n).transpose(0, 2, 1, 3))
 
     @property
+    def matrix(self) -> ComplexMatrix:
+        """The read-only nm x nm matrix S."""
+        if not isinstance(self._s, tuple):
+            return self._s
+        perm, phase = self._s
+        s = np.zeros((perm.size, perm.size), dtype=np.complex128)
+        s[np.arange(perm.size), perm] = phase
+        s.setflags(write=False)
+        return s
+
+    @property
     def blocks(self) -> np.ndarray:
         return self.matrix.reshape(self.m, self.n, self.m, self.n).transpose(0, 2, 1, 3)
 
+    def monomial(self) -> tuple[np.ndarray, ComplexMatrix] | None:
+        """(perm, phase) of S as ``linalg.monomial`` gives it: at no cost
+        for a grid in permutation form, by a scan of dense S otherwise."""
+        return self._s if isinstance(self._s, tuple) else monomial(self._s)
+
     def block_sum(self) -> ComplexMatrix:
         """Sum of all blocks (the candidate transposed adjacency)."""
-        return self.blocks.sum(axis=(0, 1))
+        if not isinstance(self._s, tuple):
+            return self.blocks.sum(axis=(0, 1))
+        perm, phase = self._s
+        total = np.zeros((self.n, self.n), dtype=np.complex128)
+        np.add.at(total, (np.arange(perm.size) % self.n, perm % self.n), phase)
+        return total
 
     def column_completeness_residual(self) -> float:
         """max over (j,k) of |sum_i blocks[i][j]^dag blocks[i][k] - I djk|, i.e.
-        of S^dag S - I: zero iff each block column is a complete Kraus set."""
-        return unitarity_residual(self.matrix)
+        of S^dag S - I: zero iff each block column is a complete Kraus set.
+        For a monomial S that is max | |phase|^2 - 1 |, in O(nm)."""
+        if isinstance(self._s, tuple):
+            return max_norm(np.abs(self._s[1]) ** 2 - 1.0)
+        return unitarity_residual(self._s)
 
     def row_completeness_residual(self) -> float:
         """max over (j,k) of |sum_i blocks[j][i] blocks[k][i]^dag - I djk|,
         i.e. of S S^dag - I: completeness of each block row. That is the
         conjugate of (S^T)^dag S^T - I, so the transpose view of S serves
-        and S is not copied."""
-        return unitarity_residual(self.matrix.T)
+        and S is not copied. S^T of a monomial S has the same entries, and
+        the same residual as its columns."""
+        if isinstance(self._s, tuple):
+            return self.column_completeness_residual()
+        return unitarity_residual(self._s.T)
 
 
 @dataclass(frozen=True)
@@ -149,12 +194,15 @@ class KrausReport:
 
 def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
     """Decompose the transpose of a d-regular 0/1-or-integer adjacency
-    matrix into d permutation matrices, returned as a diagonal grid.
+    matrix into d permutation matrices, returned as a diagonal grid in
+    permutation form.
 
     The matrix must have nonnegative integer entries with all row sums and
     column sums equal to a common d >= 1. Matchings are extracted
-    deterministically: rows are scanned in ascending order and augmenting
-    paths prefer the lowest-index column.
+    deterministically: each is a Hopcroft-Karp matching seeded by the
+    greedy one (rows in ascending order, each taking its lowest-index free
+    column), and a matching is repeated for as many blocks as the
+    smallest multiplicity it uses.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -172,47 +220,73 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
             f"{row_sums.tolist()}, column sums {col_sums.tolist()}")
 
     n = target.shape[0]
-    s = np.zeros((d, n, d, n), dtype=np.complex128)  # S, indexed [i, row, j, col]
-    rows = np.arange(n)
-    for i in range(d):
+    _require_indexable(d * n, "a permutation grid")
+    perm = np.empty((d, n), dtype=np.int64)  # block i maps row i n + r to i n + perm[i, r]
+    rows, i = np.arange(n), 0
+    while i < d:
         match = _perfect_matching(target)
-        s[i, rows, i, match] = 1.0
-        target[rows, match] -= 1
-    grid = object.__new__(KrausGrid)  # S holds only 0 and 1: no NaN/Inf scan
-    grid._hold(d, n, s.reshape(d * n, d * n))
-    return grid
+        k = int(target[rows, match].min())
+        perm[i:i + k] = match + n * np.arange(i, i + k)[:, None]
+        target[rows, match] -= k
+        i += k
+    return KrausGrid._permutation(d, n, perm.reshape(-1),
+                                  np.ones(d * n, dtype=np.complex128))
 
 
-def _perfect_matching(counts: np.ndarray) -> list[int]:
+def _perfect_matching(counts: np.ndarray) -> np.ndarray:
     """Row -> column perfect matching on the nonzero pattern of a
-    nonnegative integer matrix, via augmenting paths (Kuhn), iteratively
-    since the paths can outgrow the recursion limit. A matching exists
-    for regular matrices (Hall/Koenig), so failure is an internal error.
+    nonnegative integer matrix, by Hopcroft-Karp (1973). Each phase
+    layers the rows by breadth-first search from the free rows up to the
+    first free column, then augments along shortest paths found by an
+    iterative depth-first search, rows and columns in ascending order.
+    The first phase is thus the greedy matching: each row in turn takes
+    its lowest-index free column. A matching exists for regular matrices
+    (Hall/Koenig), so failure is an internal error.
     """
     n = counts.shape[0]
     rows, cols = np.nonzero(counts)
     adj = [c.tolist() for c in np.split(cols, np.searchsorted(rows, np.arange(1, n)))]
     owner, match = [-1] * n, [-1] * n  # row of each column, column of each row
-    seen, via = [-1] * n, [-1] * n     # last root to reach each column, from which row
-    for root in range(n):
-        stack = [(root, iter(adj[root]))]
-        while stack:
-            r, row_cols = stack[-1]
-            c = next((c for c in row_cols if seen[c] != root), None)
-            if c is None:  # dead end: the previous row tries its next column
-                stack.pop()
-                continue
-            seen[c], via[c] = root, r
-            if owner[c] == -1:
+    while True:
+        free = [r for r in range(n) if match[r] == -1]
+        if not free:
+            return np.array(match, dtype=np.int64)
+        layer = [-1] * n  # BFS depth of each row; -1 unreached or dead
+        for r in free:
+            layer[r] = 0
+        queue, last = list(free), None  # last: depth of the rows next to a free column
+        for r in queue:
+            if last is not None and layer[r] > last:
                 break
-            stack.append((owner[c], iter(adj[owner[c]])))
-        else:
+            for c in adj[r]:
+                o = owner[c]
+                if o == -1:
+                    last = layer[r]
+                elif layer[o] == -1:
+                    layer[o] = layer[r] + 1
+                    queue.append(o)
+        if last is None:
             raise RuntimeError("no perfect matching in a regular matrix "
                                "(internal invariant violated)")
-        while c != -1:  # flip the augmenting path back to the root
-            r = via[c]
-            owner[c], match[r], c = r, c, match[r]
-    return match
+        nexts = [iter(cs) for cs in adj]
+        for root in free:
+            path = [root]  # rows; path[k] takes the column owned by path[k + 1]
+            while path:
+                r = path[-1]
+                for c in nexts[r]:
+                    o = owner[c]
+                    if o == -1 or (layer[r] < last and layer[o] == layer[r] + 1):
+                        break
+                else:  # dead end: no shortest path through r in this phase
+                    layer[r] = -1
+                    path.pop()
+                    continue
+                if o != -1:
+                    path.append(o)
+                    continue
+                for r in reversed(path):  # flip the path: r takes c, c's owner moves on
+                    owner[c], match[r], c = r, c, match[r]
+                break
 
 
 def verify_kraus(a: ComplexMatrix | None, grid: KrausGrid,

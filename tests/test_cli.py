@@ -190,16 +190,16 @@ class TestWalk:
         import qwalk.coins
         import qwalk.linalg
         dense, certified = [], []
-        residual, gram = qwalk.linalg.unitarity_residual, qwalk.coins.monomial_gram
+        residual, detect = qwalk.linalg.unitarity_residual, qwalk.coins.monomial
         monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
                             lambda a: dense.append(a.shape) or residual(a))
-        monkeypatch.setattr(qwalk.coins, "monomial_gram",
-                            lambda s: certified.append(s.shape) or gram(s))
+        monkeypatch.setattr(qwalk.coins, "monomial",
+                            lambda s: certified.append(s.shape) or detect(s))
         op, state, coin = setup
         assert main(["walk", op, state, "--coin", coin, "--steps", "2",
                      "--out", str(tmp_path / "w.csv")]) == 0
         assert dense == [(2, 2), (8, 8)]  # coin, S
-        assert certified == [(8, 8)]  # U, from the factors S and C
+        assert certified == [(8, 8)]  # S as (perm, phase): U is built and certified from S and C
 
 
 class TestClassical:
@@ -410,14 +410,24 @@ class TestBadInput:
 
 # Sets a 1.5 GB address-space limit on itself only, so that an input that
 # sizes more memory than exists fails at once instead of being allocated.
-LIMITED_CHILD = """
+LIMIT_ADDRESS_SPACE = """
 import resource, sys
-from qwalk.cli import main
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
 limit = 1536 * 2 ** 20 if hard == resource.RLIM_INFINITY else min(hard, 1536 * 2 ** 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+"""
+LIMITED_CHILD = LIMIT_ADDRESS_SPACE + """
+from qwalk.cli import main
 sys.exit(main(sys.argv[1:]))
 """
+
+
+def run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a child whose address space is capped at 1.5 GB."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
 
 
 @pytest.mark.parametrize("command, obj", [
@@ -432,14 +442,28 @@ sys.exit(main(sys.argv[1:]))
 def test_more_memory_than_exists_exits_2(tmp_path, command, obj):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(obj))
-    root = Path(__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run(
-        [sys.executable, "-c", LIMITED_CHILD, command, str(path),
-         "--out", str(tmp_path / "out.json")],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = run_limited(LIMITED_CHILD, command, str(path), "--out", str(tmp_path / "out.json"))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
+def test_decompose_verify_assemble_fit_in_1_5_gb_at_n_4000():
+    # A dense S of this shift would be (3 * 4000)^2 complex entries, 2.3 GB.
+    proc = run_limited(LIMIT_ADDRESS_SPACE + """
+import numpy as np
+from qwalk import assemble_shift, decompose_permutations, verify_kraus
+n = 4000
+rng = np.random.default_rng(n)
+a = np.zeros((n, n), dtype=np.complex128)
+for _ in range(3):
+    a[np.arange(n), rng.permutation(n)] += 1
+grid = decompose_permutations(a)
+report = verify_kraus(a, grid)
+shift = assemble_shift(grid)
+print(grid.m, report.passed, report.sum_residual, shift.m * shift.n)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["3", "True", "0.0", "12000"]
 
 
 def test_decompose_verify_roundtrip_always_passes(tmp_path, rng):

@@ -14,7 +14,7 @@ from qwalk import (
     max_norm,
     unitarity_residual,
 )
-from qwalk.linalg import monomial_gram
+from qwalk.linalg import monomial
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 SWAP = np.array([[1, 0, 0, 0],
@@ -167,12 +167,17 @@ class TestMonomialUnitarityResidual:
         # n nonzeros but row 1 is empty: the monomial formula would give 0
         a = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=np.complex128)
         assert unitarity_residual(a) == dense_unitarity_residual(a) == 1.0
-        assert monomial_gram(a) is None
-        assert monomial_gram(a.T) is None  # n nonzeros, column 1 empty
+        assert monomial(a) is None
+        assert monomial(a.T) is None  # n nonzeros, column 1 empty
 
     def test_gram_is_the_diagonal_of_a_dagger_a(self, rng):
         p = phase_permutation(9, rng) * rng.uniform(0.5, 1.5, size=9)
+        perm, phase = monomial(p)
+        rebuilt = np.zeros_like(p)
+        rebuilt[np.arange(9), perm] = phase  # (p x)[r] = phase[r] x[perm[r]]
+        assert np.array_equal(rebuilt, p)
         gram = p.conj().T @ p
-        assert np.allclose(monomial_gram(p), gram.diagonal().real, rtol=1e-15, atol=0)
+        assert np.allclose(gram.diagonal()[perm].real, np.abs(phase) ** 2, rtol=1e-15, atol=0)
         assert max_norm(gram - np.diag(gram.diagonal())) == 0
-        assert monomial_gram(H) is None
+        assert monomial(H) is None
+        assert monomial(np.ones((2, 3))) is None  # not square

@@ -7,6 +7,7 @@ from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, right_shif
 from qwalk import (
     DEFAULT_TOL,
     Arc,
+    CoinSpec,
     KrausGrid,
     MultiGraph,
     NonUnitaryError,
@@ -16,12 +17,14 @@ from qwalk import (
     assemble_shift,
     column_adjacency,
     decompose_permutations,
+    evolution,
     extract_family,
     extract_graph,
     is_unitary,
     max_norm,
     verify_kraus,
 )
+from qwalk.shift import _perfect_matching
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -88,10 +91,45 @@ class TestDecomposePermutations:
         assert grid.m == 3
         assert np.array_equal(grid.block_sum(), a.T)
 
+    def test_repeated_matching_fills_every_block(self):
+        # each matching is used min-multiplicity times: one matching, 3 blocks
+        grid = decompose_permutations(3 * np.eye(4) + 2 * right_shift(4))
+        assert grid.m == 5
+        assert [np.array_equal(grid.blocks[i][i], np.eye(4)) for i in range(5)] == [
+            True, True, True, False, False]
+        assert np.array_equal(grid.block_sum(), (3 * np.eye(4) + 2 * right_shift(4)).T)
+
     def test_output_satisfies_completeness(self):
         grid = decompose_permutations(cycle_adjacency(6))
         assert grid.column_completeness_residual() == 0
         assert grid.row_completeness_residual() == 0
+
+
+class TestPerfectMatching:
+    def is_perfect(self, counts, match) -> bool:
+        n = counts.shape[0]
+        return (sorted(match.tolist()) == list(range(n))
+                and bool(np.all(counts[np.arange(n), match] > 0)))
+
+    def test_augments_past_a_greedy_seed_that_is_not_maximum(self):
+        # Row r < n-1 may take column r or r+1, row n-1 only column 0. The
+        # greedy seed matches r -> r, leaving row n-1 free; the only
+        # augmenting path runs through all n rows.
+        n = 2000
+        counts = np.zeros((n, n), dtype=np.int64)
+        counts[np.arange(n - 1), np.arange(n - 1)] = 1
+        counts[np.arange(n - 1), np.arange(1, n)] = 1
+        counts[n - 1, 0] = 1
+        assert _perfect_matching(counts).tolist() == [*range(1, n), 0]
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_valid_and_the_same_on_every_run(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        counts = sum(np.eye(n, dtype=np.int64)[rng.permutation(n)] for _ in range(d))
+        match = _perfect_matching(counts)
+        assert self.is_perfect(counts, match)
+        assert np.array_equal(_perfect_matching(counts.copy()), match)
 
 
 class TestVerifyKraus:
@@ -219,14 +257,51 @@ def permutation_sums(draw):
                                (rng.permutation(n) for _ in range(d)) for k in range(n)))
 
 
-@given(permutation_sums())
+def assert_matches_dense_oracle(grid: KrausGrid, rng, sum_tol: float = 0.0) -> None:
+    """A grid in permutation form against the same blocks held densely:
+    equal S and residuals, block sums within ``sum_tol``, and U bit for
+    bit, also against the einsum that builds U from a dense S."""
+    dense = KrausGrid(grid.m, grid.n, grid.blocks)
+    assert np.array_equal(grid.matrix, dense.matrix)
+    assert max_norm(grid.block_sum() - dense.block_sum()) <= sum_tol
+    assert grid.column_completeness_residual() == dense.column_completeness_residual()
+    assert grid.row_completeness_residual() == dense.row_completeness_residual()
+    m, n = grid.m, grid.n
+    for spec in (CoinSpec.global_coin(haar_unitary(m, rng), n),
+                 CoinSpec.per_vertex_coins([haar_unitary(m, rng) for _ in range(n)], m, n)):
+        u = evolution(assemble_shift(grid), spec)
+        assert u.tobytes() == evolution(assemble_shift(dense), spec).tobytes()
+        coins = np.stack(spec.matrices) if spec.per_vertex else [spec.matrices[0]] * n
+        oracle = np.einsum("iakb,bkj->iajb", dense.matrix.reshape(m, n, m, n), coins)
+        assert u.tobytes() == oracle.reshape(m * n, m * n).tobytes()
+
+
+@given(permutation_sums(), st.integers(0, 2 ** 32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_graph_roundtrip_property(g):
+def test_graph_roundtrip_property(g, seed):
     a = adjacency(g)
-    shift = assemble_shift(decompose_permutations(a))
+    decomposed = decompose_permutations(a)
+    blocks = decomposed.blocks
+    for i in range(decomposed.m):
+        for j in range(decomposed.m):
+            assert is_permutation(blocks[i][j].real) or not blocks[i][j].any()
+    assert np.array_equal(blocks.sum(axis=(0, 1)), a.T)
+    shift = assemble_shift(decomposed)
     grid, extracted = extract_graph(shift.matrix, shift.m)
     assert np.array_equal(adjacency(extracted), a)
     assert extracted.arcs == reference_arcs(grid)
+
+    rng = np.random.default_rng(seed)
+    assert_matches_dense_oracle(decomposed, rng)
+    assert verify_kraus(a, decomposed) == verify_kraus(
+        a, KrausGrid(decomposed.m, decomposed.n, blocks))
+    # Random unit phases: a cell that sums 3 or more of them may be added
+    # in another order by numpy's dense reduction (n = 1, d = 4 sums 16
+    # contiguous entries pairwise), so the sums agree to rounding.
+    perm, phase = decomposed.monomial()
+    phased = KrausGrid._permutation(decomposed.m, decomposed.n, perm,
+                                    phase * np.exp(2j * np.pi * rng.random(perm.size)))
+    assert_matches_dense_oracle(phased, rng, sum_tol=decomposed.m * np.finfo(float).eps)
 
 
 class TestExtractFamily:

@@ -201,8 +201,7 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
     column sums equal to a common d >= 1. Matchings are extracted
     deterministically: each is a Hopcroft-Karp matching seeded by the
     greedy one (rows in ascending order, each taking its lowest-index free
-    column), and a matching is repeated for as many blocks as the
-    smallest multiplicity it uses.
+    column), and block i holds the i-th matching.
     """
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -222,13 +221,11 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
     n = target.shape[0]
     _require_indexable(d * n, "a permutation grid")
     perm = np.empty((d, n), dtype=np.int64)  # block i maps row i n + r to i n + perm[i, r]
-    rows, i = np.arange(n), 0
-    while i < d:
+    rows = np.arange(n)
+    for i in range(d):
         match = _perfect_matching(target)
-        k = int(target[rows, match].min())
-        perm[i:i + k] = match + n * np.arange(i, i + k)[:, None]
-        target[rows, match] -= k
-        i += k
+        perm[i] = match + i * n
+        target[rows, match] -= 1
     return KrausGrid._permutation(d, n, perm.reshape(-1),
                                   np.ones(d * n, dtype=np.complex128))
 

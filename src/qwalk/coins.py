@@ -22,6 +22,7 @@ from .linalg import (
     require_unitary,
 )
 from .shift import KrausGrid, ShiftOperator
+from .walk import _Factored
 
 __all__ = [
     "CoinSpec",
@@ -114,7 +115,8 @@ def _vertex_coins(spec: CoinSpec) -> np.ndarray:
     """The (n, m, m) stack of coins, entry k steering vertex k."""
     if spec.per_vertex:
         return np.stack(spec.matrices)
-    return np.broadcast_to(spec.matrices[0], (spec.n, spec.m, spec.m))
+    # a copy: the caller may still hold, and change, the spec's matrix
+    return np.broadcast_to(spec.matrices[0].copy(), (spec.n, spec.m, spec.m))
 
 
 def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
@@ -140,9 +142,11 @@ def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
     scatter, U[r, j n + v] = phase[r] C_v[i, j], and is certified from its
     factors: S†S = D is diagonal, so U†U = (C (x) I)† D (C (x) I) is
     block-diagonal by vertex, and the residual of U is the max over k of
-    |C_k† diag(D[i n + k] for i < m) C_k - I|, in O(N m + n m^3). Any
-    other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S and
-    the dense check of U."""
+    |C_k† diag(D[i n + k] for i < m) C_k - I|, in O(N m + n m^3). That U
+    also keeps its factors, so that ``walk.step`` applies it as the coin
+    then the permutation, in O(n m^2), without reading the dense matrix.
+    Any other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S
+    and the dense check of U. U is read-only either way."""
     if isinstance(shift, ShiftOperator):
         shape, mono = (shift.m * shift.n,) * 2, shift.grid.monomial()
     else:
@@ -155,8 +159,9 @@ def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
     coins = _vertex_coins(spec)
     if mono is None:
         s = shift.matrix if isinstance(shift, ShiftOperator) else shift
-        u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins)
-        return require_unitary(u.reshape(m * n, m * n), tol, "evolution operator")
+        u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins).reshape(m * n, m * n)
+        u.setflags(write=False)
+        return require_unitary(u, tol, "evolution operator")
     perm, phase = mono
     i, v = np.divmod(perm, n)
     u = np.zeros((m * n, m, n), dtype=np.complex128)
@@ -168,7 +173,11 @@ def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
     r = max_norm(coins.conj().transpose(0, 2, 1) @ (weights * coins) - np.eye(m))
     if r > tol.abs_eps:
         raise NonUnitaryError(f"evolution operator is not unitary (residual {r:.3e})", r)
-    return u.reshape(m * n, m * n)
+    u = u.reshape(m * n, m * n)
+    u.setflags(write=False)  # its views, _Factored among them, are read-only too
+    u = u.view(_Factored)
+    u._factors = (perm, phase, coins)
+    return u
 
 
 def column_adjacency(u: ComplexMatrix, m: int, j: int) -> ComplexMatrix:

@@ -104,14 +104,34 @@ def basis_state(m: int, n: int, coin: int, vertex: int) -> WalkerState:
     return WalkerState(m, n, amps)
 
 
+class _Factored(np.ndarray):
+    """Dense U = S (C (x) I_n) as ``coins.evolution`` returns it for a
+    monomial S, keeping in ``_factors`` the (perm, phase, coins) it was
+    scattered from: (U x) = phase * (coin step of x)[perm], with coins the
+    (n, m, m) stack. Only that object carries them: every array numpy
+    derives from it (view, copy, slice, ufunc result, unpickled copy) has
+    ``_factors`` None and is applied densely."""
+
+    def __array_finalize__(self, obj):
+        self._factors = None
+
+
 def step(u: ComplexMatrix, s: WalkerState) -> WalkerState:
-    """Apply the evolution operator once. U is not scanned: a NaN/Inf in
-    it reaches the product (NaN*x, Inf*0 are NaN), which WalkerState rejects."""
+    """Apply the evolution operator once: as coin then permutation, in
+    O(nm^2), when U is the factored operator ``coins.evolution`` built,
+    else as the dense product. U is not scanned: a NaN/Inf in it reaches
+    the product (NaN*x, Inf*0 are NaN), which WalkerState rejects."""
+    factors = u._factors if isinstance(u, _Factored) else None
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (s.m * s.n, s.m * s.n):
         raise PreconditionError(
             f"operator shape {u.shape} does not match state dimension {s.m * s.n}")
-    return WalkerState(s.m, s.n, u @ s.amplitudes, None)
+    if factors is None:
+        return WalkerState(s.m, s.n, u @ s.amplitudes, None)
+    perm, phase, coins = factors
+    n, m = coins.shape[:2]  # U's own split: this is U @ psi for a state of any split
+    coined = np.einsum("kij,jk->ik", coins, s.amplitudes.reshape(m, n))
+    return WalkerState(s.m, s.n, phase * coined.reshape(-1)[perm], None)
 
 
 def evolve(u: ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:

@@ -13,6 +13,7 @@ from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary
 from qwalk import (
     Arc,
     ProbabilityVector,
+    WalkerState,
     adjacency,
     assemble_shift,
     basis_state,
@@ -185,6 +186,41 @@ class TestWalk:
                      "--out", str(tmp_path / "w.csv")]) == 0
         total = float(capsys.readouterr().out.split("=")[1])
         assert total == pytest.approx((1 + 4e-11) ** 2000, abs=1e-12)  # 1 + 8e-8
+
+    def test_coin_walk_is_factored_and_matches_evolve_op_then_walk(
+            self, tmp_path, rng, monkeypatch):
+        """``walk --coin`` applies U as coin then permutation, ``walk`` on a
+        U file densely; their probabilities agree to 1e-12."""
+        m, n = 3, 5
+        s = np.zeros((m * n, m * n), dtype=np.complex128)
+        s[np.arange(m * n), rng.permutation(m * n)] = np.exp(2j * np.pi * rng.random(m * n))
+        shift = write_matrix(tmp_path, "s.json", s)
+        coin = tmp_path / "coin.json"
+        coin.write_text(json.dumps({"m": m, "n": n, "kind": "per_vertex", "matrices": [
+            fileio.matrix_to_obj(haar_unitary(m, rng)) for _ in range(n)]}))
+        amps = rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
+        state = tmp_path / "s0.json"
+        fileio.save_state(WalkerState(m, n, amps / np.linalg.norm(amps)), state)
+        factored, einsum = [], np.einsum
+
+        def spy(subscripts, *operands, **kwargs):  # the factored step's kernel
+            if subscripts == "kij,jk->ik":
+                factored.append(operands[0].shape)
+            return einsum(subscripts, *operands, **kwargs)
+
+        monkeypatch.setattr(np, "einsum", spy)
+        walk = ["--steps", "20", "--trajectory", "--out"]
+        assert main(["walk", shift, str(state), "--coin", str(coin),
+                     *walk, str(tmp_path / "coin.csv")]) == 0
+        assert factored == [(n, m, m)] * 20
+        assert main(["evolve-op", shift, str(coin), "--out", str(tmp_path / "u.json")]) == 0
+        assert main(["walk", str(tmp_path / "u.json"), str(state),
+                     *walk, str(tmp_path / "u.csv")]) == 0
+        assert len(factored) == 20
+        rows = [np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+                for name in ("coin.csv", "u.csv")]
+        assert np.array_equal(rows[0][:, :2], rows[1][:, :2])
+        assert max_norm(rows[0][:, 2] - rows[1][:, 2]) <= 1e-12
 
     def test_coin_walk_checks_each_operator_once(self, setup, tmp_path, monkeypatch):
         import qwalk.coins

@@ -1,3 +1,6 @@
+import pickle
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +17,7 @@ from qwalk import (
     basis_state,
     classical_transition,
     classical_walk,
+    decompose_permutations,
     evolution,
     evolve,
     is_unitary,
@@ -242,3 +246,132 @@ def test_classical_reduction_identity_coin():
         quantum = measure_position(evolve(shift.matrix, s, t))
         classical = classical_walk(r, p, t)
         assert np.array_equal(quantum.probs, classical.probs)
+
+
+@contextmanager
+def factored_steps():
+    """Record the coin stack of every step that applies U as coin then
+    permutation (the einsum of ``step``'s factored kernel)."""
+    calls, einsum = [], np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "kij,jk->ik":
+            calls.append(operands[0].shape)
+        return einsum(subscripts, *operands, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "einsum", spy)
+        yield calls
+
+
+def random_state(m: int, n: int, rng) -> WalkerState:
+    amps = rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
+    return WalkerState(m, n, amps / np.linalg.norm(amps))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12),
+       st.booleans(), st.booleans(), st.integers(0, 8))
+@settings(max_examples=80, deadline=None)
+def test_factored_step_matches_dense_property(seed, d, n, decomposed, per_vertex, t):
+    """A decomposed d-regular multigraph, or a dense monomial S with random
+    unit phases (what ``walk --coin`` and ``evolve-op`` read), under global
+    or per-vertex Haar coins: U walks factored, np.asarray(U) densely, and
+    the two agree."""
+    rng = np.random.default_rng(seed)
+    if decomposed:
+        a = sum(np.eye(n)[rng.permutation(n)] for _ in range(d))
+        shift = assemble_shift(decompose_permutations(a))
+    else:
+        shift = np.zeros((d * n, d * n), dtype=np.complex128)
+        shift[np.arange(d * n), rng.permutation(d * n)] = np.exp(2j * np.pi * rng.random(d * n))
+    if per_vertex:
+        spec = CoinSpec.per_vertex_coins([haar_unitary(d, rng) for _ in range(n)], d, n)
+    else:
+        spec = CoinSpec.global_coin(haar_unitary(d, rng), n)
+    u = evolution(shift, spec)
+    s0 = random_state(d, n, rng)
+    with factored_steps() as calls:
+        factored = evolve(u, s0, t)
+        assert calls == [(n, d, d)] * t
+        dense = evolve(np.asarray(u), s0, t)
+        assert len(calls) == t
+    assert max_norm(factored.amplitudes - dense.amplitudes) <= 1e-12
+
+
+def test_hadamard_walk_spreads_ballistically():
+    """Ambainis, Bach, Nayak, Vishwanath and Watrous (2001); Konno (2002):
+    from (|0> + i|1>)/sqrt 2 at vertex 0, E[X_t] = 0 and E[X_t^2]/t^2 tends
+    to 1 - 1/sqrt 2. While n > 2t the walk cannot wrap around C_n."""
+    n, t = 512, 200
+    shift = assemble_shift(cycle_shift_grid(n))
+    u = evolution(shift, CoinSpec.global_coin(named_coin("hadamard", 2), n))
+    amps = np.zeros(2 * n, dtype=np.complex128)
+    amps[[0, n]] = np.array([1, 1j]) / np.sqrt(2)
+    with factored_steps() as calls:
+        p = measure_position(evolve(u, WalkerState(2, n, amps), t)).probs
+    assert len(calls) == t
+    v = np.arange(n)
+    x = np.where(v < n // 2, v, v - n)
+    assert abs(p @ x) <= 1e-12
+    assert abs(p @ x ** 2 / t ** 2 - (1 - 1 / np.sqrt(2))) <= 2e-5
+
+
+class TestFactoredOperator:
+    """The U ``evolution`` returns for a monomial S: a read-only dense
+    array whose factors only the returned object carries."""
+
+    @pytest.fixture
+    def u(self, rng):
+        a = np.ones((4, 4)) + np.eye(4)  # 5-regular, with repeated loops
+        spec = CoinSpec.per_vertex_coins([haar_unitary(5, rng) for _ in range(4)], 5, 4)
+        return evolution(assemble_shift(decompose_permutations(a)), spec)
+
+    def test_is_read_only(self, u):
+        with pytest.raises(ValueError):
+            u[0, 0] = 1
+
+    @pytest.mark.parametrize("derive", [
+        lambda u: u.copy(),
+        lambda u: u[:],
+        lambda u: u.T,
+        lambda u: u * 1,
+        np.array,
+        lambda u: matpow(u, 2),
+        lambda u: pickle.loads(pickle.dumps(u)),
+    ], ids=["copy", "slice", "transpose", "ufunc", "array", "matpow", "pickle"])
+    def test_derived_arrays_walk_densely(self, u, rng, derive):
+        v = derive(u)
+        assert getattr(v, "_factors", None) is None
+        s0 = random_state(5, 4, rng)
+        with factored_steps() as calls:
+            out = evolve(v, s0, 3)
+        assert calls == []
+        oracle = np.linalg.matrix_power(np.array(v), 3) @ s0.amplitudes
+        assert max_norm(out.amplitudes - oracle) <= 1e-12
+
+    def test_state_of_another_split_walks_as_densely(self, u, rng):
+        # a (2, 10) state has U's dimension 20 but not its (5, 4) split
+        s0 = random_state(2, 10, rng)
+        with factored_steps() as calls:
+            out = evolve(u, s0, 3)
+        assert calls == [(4, 5, 5)] * 3
+        assert max_norm(out.amplitudes - evolve(np.asarray(u), s0, 3).amplitudes) <= 1e-12
+
+    def test_save_load_roundtrips_bytes(self, u, tmp_path):
+        np.save(tmp_path / "u.npy", u)
+        loaded = np.load(tmp_path / "u.npy")
+        assert loaded.shape == u.shape and loaded.dtype == u.dtype
+        assert loaded.tobytes() == u.tobytes()
+
+    def test_changing_the_coin_afterwards_changes_nothing(self, c4_shift):
+        c = named_coin("hadamard", 2)
+        u = evolution(c4_shift, CoinSpec.global_coin(c, 4))
+        s0 = basis_state(2, 4, 0, 0)
+        before = evolve(u, s0, 3).amplitudes
+        c[:] = np.eye(2)
+        assert np.array_equal(evolve(u, s0, 3).amplitudes, before)
+
+    def test_non_monomial_shift_gives_a_read_only_plain_array(self, rng):
+        u = evolution(haar_unitary(6, rng), CoinSpec.global_coin(named_coin("dft", 3), 2))
+        assert type(u) is np.ndarray
+        assert not u.flags.writeable

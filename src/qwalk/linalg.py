@@ -48,10 +48,16 @@ DEFAULT_TOL = Tolerance()
 
 def as_matrix(a) -> ComplexMatrix:
     """Coerce to a 2-D complex128 array, rejecting non-finite entries."""
-    m = np.asarray(a, dtype=np.complex128)
+    return _as_matrix_keep_real(np.asarray(a, dtype=np.complex128))
+
+
+def _as_matrix_keep_real(a) -> NDArray[np.float64] | ComplexMatrix:
+    """``as_matrix``, but a float64 array is checked in place, not copied."""
+    m = np.asarray(a)
+    m = m if m.dtype == np.float64 else m.astype(np.complex128, copy=False)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
 

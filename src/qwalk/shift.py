@@ -26,6 +26,7 @@ from .linalg import (
     ComplexMatrix,
     Tolerance,
     DEFAULT_TOL,
+    _as_matrix_keep_real,
     _require_indexable,
     as_matrix,
     max_norm,
@@ -203,11 +204,11 @@ def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
     greedy one (rows in ascending order, each taking its lowest-index free
     column), and block i holds the i-th matching.
     """
-    a = as_matrix(a)
+    a = _as_matrix_keep_real(a)
     if a.shape[0] != a.shape[1]:
         raise PreconditionError("adjacency matrix must be square")
-    if (np.any(a.imag != 0) or np.any(a.real < 0) or np.any(a.real >= 2 ** 63)
-            or np.any(a.real != np.round(a.real))):
+    if ((np.iscomplexobj(a) and np.any(a.imag != 0)) or a.real.min() < 0
+            or a.real.max() >= 2 ** 63 or np.any(a.real != np.round(a.real))):
         raise PreconditionError("entries must be nonnegative 64-bit integers")
     target = a.real.T.astype(np.int64, order="C")  # counts of A^T
     row_sums = target.sum(axis=0)
@@ -291,7 +292,7 @@ def verify_kraus(a: ComplexMatrix | None, grid: KrausGrid,
     """Check a candidate grid: block sum against the transposed adjacency
     (when ``a`` is given), plus column and row completeness."""
     if a is not None:
-        a = as_matrix(a)
+        a = _as_matrix_keep_real(a)
         if a.shape != (grid.n, grid.n):
             raise PreconditionError(
                 f"adjacency shape {a.shape} does not match grid n={grid.n}")

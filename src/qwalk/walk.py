@@ -12,7 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import PreconditionError
-from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, as_matrix, max_norm
+from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, _as_matrix_keep_real
 
 __all__ = [
     "WalkerState",
@@ -49,7 +49,7 @@ class WalkerState:
         if amps.shape[0] != self.m * self.n:
             raise PreconditionError(
                 f"expected {self.m * self.n} amplitudes, got {amps.shape[0]}")
-        if not np.all(np.isfinite(amps)):
+        if not np.isfinite(amps).all():
             raise PreconditionError("amplitudes contain NaN or Inf")
         if tol is not None:
             norm_sq = float(np.sum(np.abs(amps) ** 2))
@@ -79,7 +79,7 @@ class ProbabilityVector:
         p = np.asarray(self.probs, dtype=np.float64).reshape(-1)
         if p.shape[0] < 1:
             raise PreconditionError("probability vector must be nonempty")
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        if not (p.min() >= 0 and p.max() < np.inf):  # NaN fails the first
             raise PreconditionError("probabilities must be finite and nonnegative")
         if tol is not None:
             total = float(p.sum())
@@ -154,36 +154,44 @@ def measure_position(s: WalkerState) -> ProbabilityVector:
 
 def classical_transition(a: ComplexMatrix) -> ComplexMatrix:
     """Row-stochastic transition matrix M = D^-1 A of the random walk on a
-    real nonnegative adjacency matrix (D holds the out-degree weights).
+    real nonnegative adjacency matrix (D holds the out-degree weights),
+    scattered from the arcs that ``classical_trajectory`` steps over: its
+    update rule P <- M^T P never builds M."""
+    n, tail, head, weight = _transition_arcs(a)
+    m = np.zeros((n, n), dtype=np.complex128)
+    m[tail, head] = weight
+    return m
 
-    The update rule applies M transposed; see ``classical_walk``.
-    """
-    a = as_matrix(a)
+
+def _transition_arcs(a: ComplexMatrix) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """n and the arcs M[tail, head] = weight of M = D^-1 A, tail-major,
+    checked as ``classical_transition`` says; a float64 ``a`` is not copied."""
+    a = _as_matrix_keep_real(a)
     if a.shape[0] != a.shape[1]:
         raise PreconditionError("adjacency matrix must be square")
-    if max_norm(a.imag) > 0 or np.any(a.real < 0):
+    if (np.iscomplexobj(a) and np.any(a.imag != 0)) or a.real.min() < 0:
         raise PreconditionError("classical walks need real nonnegative weights")
     degrees = a.real.sum(axis=1)
     if np.any(degrees == 0):
         zero_rows = np.flatnonzero(degrees == 0).tolist()
         raise PreconditionError(f"vertices {zero_rows} have zero out-degree")
-    return (a.real / degrees[:, None]).astype(np.complex128)
+    tail, head = np.nonzero(a)
+    return a.shape[0], tail, head, a.real[tail, head] / degrees[tail]
 
 
 def classical_trajectory(a: ComplexMatrix, p0: ProbabilityVector,
                          t: int) -> Iterator[ProbabilityVector]:
     """Yield the distributions after 0, 1, ..., t steps of the update
-    rule P <- M^T P, in one pass. The computed distributions are not
-    checked for their sum, so rounding drift does not abort a long walk."""
+    rule P <- M^T P, each a gather over the arcs of M in O(n + nnz). They
+    are not checked for their sum: rounding drift must not abort a walk."""
     if t < 0:
         raise PreconditionError("step count must be nonnegative")
-    mt = np.ascontiguousarray(classical_transition(a).real.T)
-    if mt.shape[0] != p0.n:
-        raise PreconditionError(
-            f"adjacency dimension {mt.shape[0]} does not match p0 length {p0.n}")
+    n, tail, head, weight = _transition_arcs(a)
+    if n != p0.n:
+        raise PreconditionError(f"adjacency dimension {n} does not match p0 length {p0.n}")
     yield p0
     for _ in range(t):
-        p0 = ProbabilityVector(mt @ p0.probs, None)
+        p0 = ProbabilityVector(np.bincount(head, weight * p0.probs[tail], n), None)
         yield p0
 
 

@@ -74,6 +74,25 @@ class TestDecomposePermutations:
         with pytest.raises(PreconditionError):
             decompose_permutations(np.full((2, 2), 0.5))
 
+    @pytest.mark.parametrize("entry", [1j, -1.0, 2.0 ** 63, 0.5])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_entry_checks_on_real_and_complex_input(self, entry, dtype):
+        a = np.eye(2, dtype=complex if isinstance(entry, complex) else dtype)
+        a[0, 0] = entry
+        with pytest.raises(PreconditionError,
+                           match=r"^entries must be nonnegative 64-bit integers$"):
+            decompose_permutations(a)
+        a[0, 0] = 2.0 ** 63 - 1024  # largest float64 below 2^63: an accepted entry
+        with pytest.raises(PreconditionError, match="too large"):
+            decompose_permutations(a[:1, :1])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_nan_rejected(self, dtype):
+        a = np.eye(2, dtype=dtype)
+        a[1, 0] = np.nan
+        with pytest.raises(ValueError, match=r"^matrix contains NaN or Inf entries$"):
+            decompose_permutations(a)
+
     def test_deterministic(self):
         a = np.ones((5, 5), dtype=np.complex128)
         g1 = decompose_permutations(a)

@@ -1,13 +1,16 @@
 import pickle
+import tracemalloc
 from contextlib import contextmanager
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, right_shift
 from qwalk import (
+    DEFAULT_TOL,
     CoinSpec,
     PreconditionError,
     ProbabilityVector,
@@ -15,6 +18,7 @@ from qwalk import (
     WalkerState,
     assemble_shift,
     basis_state,
+    classical_trajectory,
     classical_transition,
     classical_walk,
     decompose_permutations,
@@ -63,10 +67,29 @@ class TestWalkerState:
         with pytest.raises(PreconditionError, match="NaN or Inf"):
             WalkerState(1, 4, np.full(4, np.nan), None)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.inf),
+                                     complex(0, -np.inf), complex(np.nan, 0)])
+    def test_non_finite_rejected_with_the_same_message(self, bad):
+        for tol in (DEFAULT_TOL, None):
+            with pytest.raises(PreconditionError, match=r"^amplitudes contain NaN or Inf$"):
+                WalkerState(1, 2, np.array([bad, 1.0]), tol)
+        assert WalkerState(1, 2, np.array([-0.0, 1.0]), None).n == 2
+
     def test_subvector(self):
         s = basis_state(2, 3, 1, 0)
         assert np.array_equal(s.subvector(1), [1, 0, 0])
         assert np.array_equal(s.subvector(0), [0, 0, 0])
+
+
+@given(arrays(np.complex128, st.integers(1, 6)))
+@settings(max_examples=200, deadline=None)
+def test_state_accepts_exactly_the_finite_amplitudes(amps):
+    try:
+        WalkerState(1, amps.size, amps, None)
+    except PreconditionError:
+        assert not np.all(np.isfinite(amps))
+    else:
+        assert np.all(np.isfinite(amps))
 
 
 class TestStep:
@@ -164,9 +187,22 @@ class TestProbabilityVector:
             ProbabilityVector(p)
         assert ProbabilityVector(p, Tolerance(1e-5)).n == 2
         assert ProbabilityVector(2 * p, None).n == 2  # computed: sum unchecked
-        for bad in ([-0.5, 1.5], [np.nan, 1.0]):
-            with pytest.raises(PreconditionError, match="finite and nonnegative"):
+        for bad in ([-0.5, 1.5], [np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0]):
+            with pytest.raises(PreconditionError,
+                               match=r"^probabilities must be finite and nonnegative$"):
                 ProbabilityVector(np.array(bad), None)
+        assert ProbabilityVector(np.array([-0.0, 1.0]), None).n == 2
+
+
+@given(arrays(np.float64, st.integers(1, 6)))
+@settings(max_examples=200, deadline=None)
+def test_distribution_accepts_exactly_the_finite_nonnegative(p):
+    try:
+        ProbabilityVector(p, None)
+    except PreconditionError:
+        assert np.any(p < 0) or not np.all(np.isfinite(p))
+    else:
+        assert not np.any(p < 0) and np.all(np.isfinite(p))
 
 
 class TestClassicalTransition:
@@ -222,6 +258,67 @@ class TestClassicalWalk:
             out = classical_walk(a, p0, t)
             oracle = np.linalg.matrix_power(mt, t) @ p0.probs
             assert max_norm(out.probs - oracle) <= 1e-12
+
+
+def random_digraph(rng, n: int, exact: bool) -> np.ndarray:
+    """A random nonnegative adjacency with no zero row. ``exact``: 0/1
+    entries, out-degree at most 2 and in-degree at most 2, so every entry
+    of M = D^-1 A is 1 or 1/2 and every product M[i, j] p[i] is exact.
+    Otherwise irregular weights, self-loops and vertices with no in-arcs."""
+    a = np.zeros((n, n))
+    if exact:  # each head appears at most twice in ``pool``
+        pool = rng.permutation(np.repeat(np.arange(n), 2)).reshape(n, 2)
+        for i, heads in enumerate(pool):
+            a[i, heads[:rng.integers(1, 3)]] = 1
+        return a
+    a[rng.random((n, n)) < rng.random()] = 1
+    a *= rng.random((n, n))
+    sources = rng.random(n) < 0.3  # vertices left with no in-arcs
+    sources[rng.integers(n)] = False
+    a[:, sources] = 0
+    empty = ~a.any(axis=1)
+    a[empty, rng.choice(np.flatnonzero(~sources), size=empty.sum())] = rng.random() + 0.5
+    return a
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(0, 10), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_arc_kernel_matches_dense_iteration_property(seed, n, t, exact):
+    """The gather over the arcs against the dense iteration p = M^T p it
+    replaced. Bit-equal where each vertex has at most two in-arcs and the
+    products are exact: a sum of two rounded terms has one rounding in any
+    order, even where the BLAS matvec fuses multiply and add."""
+    rng = np.random.default_rng(seed)
+    a = random_digraph(rng, n, exact)
+    mt = np.ascontiguousarray((a / a.sum(axis=1)[:, None]).T)
+    p = rng.random(n)
+    p0 = ProbabilityVector(p / p.sum())
+    dense = [p0.probs]
+    for _ in range(t):
+        dense.append(mt @ dense[-1])
+    got = [d.probs for d in classical_trajectory(a, p0, t)]
+    assert max_norm(np.array(got) - np.array(dense)) <= 1e-12
+    if exact:
+        assert all(np.array_equal(g, d) for g, d in zip(got, dense))
+    complex_input = [d.probs for d in classical_trajectory(a.astype(np.complex128), p0, t)]
+    assert np.array_equal(complex_input, got)
+    m = classical_transition(a)
+    assert m.dtype == np.complex128
+    assert np.array_equal(m, (a.real / a.real.sum(1)[:, None]).astype(np.complex128))
+
+
+def test_classical_walk_builds_no_dense_matrix():
+    n = 1024
+    a = np.zeros((n, n))  # C_n, stored densely as float64: 8 n^2 bytes
+    a[np.arange(n), (np.arange(n) + 1) % n] = a[np.arange(n), np.arange(n) - 1] = 1
+    p0 = ProbabilityVector(np.full(n, 1 / n))
+    tracemalloc.start()
+    try:
+        classical_walk(a, p0, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16))

@@ -74,10 +74,12 @@ class TestDecomposePermutations:
         with pytest.raises(PreconditionError):
             decompose_permutations(np.full((2, 2), 0.5))
 
-    @pytest.mark.parametrize("entry", [1j, -1.0, 2.0 ** 63, 0.5])
-    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
-    def test_entry_checks_on_real_and_complex_input(self, entry, dtype):
-        a = np.eye(2, dtype=complex if isinstance(entry, complex) else dtype)
+    @pytest.mark.parametrize("dtype, entry", [
+        (np.complex128, 1j), (np.float64, -1.0), (np.complex128, -1.0),
+        (np.float64, 2.0 ** 63), (np.complex128, 2.0 ** 63),
+        (np.float64, 0.5), (np.complex128, 0.5)])
+    def test_entry_checks_on_real_and_complex_input(self, dtype, entry):
+        a = np.eye(2, dtype=dtype)
         a[0, 0] = entry
         with pytest.raises(PreconditionError,
                            match=r"^entries must be nonnegative 64-bit integers$"):

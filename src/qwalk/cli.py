@@ -18,7 +18,7 @@ import numpy as np
 from . import fileio
 from .coins import CoinSpec, coin_matrix, evolution, named_coin, NAMED_COINS
 from .errors import FileFormatError, NonUnitaryError, PreconditionError
-from .linalg import Tolerance, max_norm, require_unitary
+from .linalg import Tolerance, require_unitary
 from .shift import (assemble_shift, decompose_permutations, extract_family,
                     extract_graph, verify_kraus)
 from .walk import classical_trajectory, measure_position, step
@@ -47,7 +47,7 @@ def cmd_decompose(args) -> int:
     a = fileio.load_matrix(args.adjacency)
     grid = decompose_permutations(a)
     fileio.save_grid(grid, args.out)
-    residual = max_norm(grid.block_sum() - a.T)
+    residual = verify_kraus(a, grid).sum_residual
     print(f"m = {grid.m}")
     print(f"sum residual = {fileio.fmt_float(residual)}")
     return EXIT_OK

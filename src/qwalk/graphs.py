@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import ComplexMatrix, Tolerance, DEFAULT_TOL, as_matrix
+from .linalg import ComplexMatrix, Tolerance, DEFAULT_TOL, _as_matrix_keep_real
 
 __all__ = [
     "Arc",
@@ -148,6 +148,32 @@ def adjacency(g: MultiGraph) -> ComplexMatrix:
     return a
 
 
+def _sum_arcs(n: int, tails, heads, weights) -> tuple[np.ndarray, np.ndarray, ComplexMatrix]:
+    """One arc per distinct (tail, head) of the concatenated columns, on n
+    vertices, tail-major, each weight summed in input order as ``np.add.at`` sums."""
+    tail, head, weight = (np.concatenate(c) for c in (tails, heads, weights))
+    keys, group = np.unique(tail * n + head, return_inverse=True)
+    summed = np.bincount(group, weight.real).astype(np.complex128)
+    summed.imag = np.bincount(group, weight.imag)
+    return *np.divmod(keys, n), summed
+
+
+def _arc_columns(a) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
+    """The shape of the adjacency of ``a``, a MultiGraph or a matrix, and its
+    nonzero entries (tail, head, weight) in ``np.nonzero`` order, bit-equal to
+    ``adjacency(a)``'s. A matrix is checked as by ``as_matrix``, in place."""
+    if not isinstance(a, MultiGraph):
+        a = _as_matrix_keep_real(a)
+        tail, head = np.divmod(np.flatnonzero(a != 0), a.shape[1])  # np.nonzero(a), faster
+        return a.shape, tail, head, a[tail, head]
+    uv = np.array([[e.u, e.v] for e in a.undirected], dtype=np.int64).reshape(-1, 2)
+    w = np.repeat(np.array([e.weight for e in a.undirected], dtype=np.complex128), 2)
+    tail, head, weight = _sum_arcs(a.n, [a.tail, uv.ravel()], [a.head, uv[:, ::-1].ravel()],
+                                   [a.weight, w])  # both arcs of each edge, in edge order
+    keep = weight != 0
+    return (a.n, a.n), tail[keep], head[keep], weight[keep]
+
+
 def split_directed(a: Arc, weights, tol: Tolerance = DEFAULT_TOL) -> list[Arc]:
     """Split one arc into parallel arcs whose weights sum to the original.
 
@@ -189,9 +215,7 @@ def from_adjacency(a: ComplexMatrix) -> MultiGraph:
     """Canonical digraph preimage: one arc per nonzero entry, no
     undirected edges. Other preimages are reachable via the split
     operations."""
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
+    shape, tail, head, weight = _arc_columns(a)
+    if shape[0] != shape[1]:
         raise PreconditionError("adjacency matrix must be square")
-    tail, head = np.nonzero(a)
-    return MultiGraph.from_columns(a.shape[0], tail, head, a[tail, head],
-                                   np.full(tail.size, -1))
+    return MultiGraph.from_columns(shape[0], tail, head, weight, np.full(tail.size, -1))

@@ -21,12 +21,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonUnitaryError, PreconditionError
-from .graphs import MultiGraph
+from .graphs import MultiGraph, _arc_columns, _sum_arcs
 from .linalg import (
     ComplexMatrix,
     Tolerance,
     DEFAULT_TOL,
-    _as_matrix_keep_real,
     _require_indexable,
     as_matrix,
     max_norm,
@@ -131,10 +130,16 @@ class KrausGrid:
         """Sum of all blocks (the candidate transposed adjacency)."""
         if not isinstance(self._s, tuple):
             return self.blocks.sum(axis=(0, 1))
-        perm, phase = self._s
         total = np.zeros((self.n, self.n), dtype=np.complex128)
-        np.add.at(total, (np.arange(perm.size) % self.n, perm % self.n), phase)
+        np.add.at(total, *self._block_sum_entries())
         return total
+
+    def _block_sum_entries(self) -> tuple[tuple[np.ndarray, np.ndarray], ComplexMatrix]:
+        """((rows, cols), values) whose sums per entry, in order, are ``block_sum()``."""
+        if isinstance(self._s, tuple):
+            return (np.arange(self._s[0].size) % self.n, self._s[0] % self.n), self._s[1]
+        index = np.nonzero(total := self.block_sum())
+        return index, total[index]
 
     def column_completeness_residual(self) -> float:
         """max over (j,k) of |sum_i blocks[i][j]^dag blocks[i][k] - I djk|, i.e.
@@ -193,57 +198,88 @@ class KrausReport:
         return (self.sum_ok is not False) and self.column_ok and self.row_ok
 
 
-def decompose_permutations(a: ComplexMatrix) -> KrausGrid:
-    """Decompose the transpose of a d-regular 0/1-or-integer adjacency
-    matrix into d permutation matrices, returned as a diagonal grid in
-    permutation form.
+def decompose_permutations(a: ComplexMatrix | MultiGraph) -> KrausGrid:
+    """Decompose the transpose of a d-regular adjacency matrix with
+    nonnegative integer entries, or of a MultiGraph's adjacency, into d
+    permutation matrices, returned as a diagonal grid in permutation form,
+    with no n x n array. Degrees of 2^53 or more are refused as too large.
 
-    The matrix must have nonnegative integer entries with all row sums and
-    column sums equal to a common d >= 1. Matchings are extracted
-    deterministically: each is a Hopcroft-Karp matching seeded by the
-    greedy one (rows in ascending order, each taking its lowest-index free
-    column), and block i holds the i-th matching.
+    A^T is held as distinct (row, column) pairs with counts and split by
+    Euler partition (Gabow 1976), depth first, in this block order: a part
+    whose rows each have one column is one permutation, repeated d' times
+    for its degree d'; a part of odd degree gives a Hopcroft-Karp matching,
+    then the blocks of the rest; one of even degree, those of its halves.
     """
-    a = _as_matrix_keep_real(a)
-    if a.shape[0] != a.shape[1]:
+    shape, tail, head, weight = _arc_columns(a)
+    if shape[0] != shape[1]:
         raise PreconditionError("adjacency matrix must be square")
-    if ((np.iscomplexobj(a) and np.any(a.imag != 0)) or a.real.min() < 0
-            or a.real.max() >= 2 ** 63 or np.any(a.real != np.round(a.real))):
+    w = weight.real
+    if (np.any(weight.imag != 0) or w.min(initial=0) < 0 or w.max(initial=0) >= 2 ** 63
+            or np.any(w != np.round(w))):
         raise PreconditionError("entries must be nonnegative 64-bit integers")
-    target = a.real.T.astype(np.int64, order="C")  # counts of A^T
-    row_sums = target.sum(axis=0)
-    col_sums = target.sum(axis=1)
+    n = shape[0]
+    # float64 sums of integers are exact below 2^53, which no storable d reaches
+    sums = np.bincount(np.concatenate([tail, head + n]), np.tile(w, 2), 2 * n)
+    if sums.max() >= 2.0 ** 53:
+        raise PreconditionError("vertex degrees of 2^53 or more are too large")
+    row_sums, col_sums = sums.astype(np.int64).reshape(2, n)
     d = int(row_sums[0])
     if d < 1 or np.any(row_sums != d) or np.any(col_sums != d):
         raise PreconditionError(
             "matrix is not regular: row sums "
             f"{row_sums.tolist()}, column sums {col_sums.tolist()}")
-
-    n = target.shape[0]
     _require_indexable(d * n, "a permutation grid")
-    perm = np.empty((d, n), dtype=np.int64)  # block i maps row i n + r to i n + perm[i, r]
-    rows = np.arange(n)
-    for i in range(d):
-        match = _perfect_matching(target)
-        perm[i] = match + i * n
-        target[rows, match] -= 1
-    return KrausGrid._permutation(d, n, perm.reshape(-1),
-                                  np.ones(d * n, dtype=np.complex128))
+
+    order = np.lexsort((tail, head))  # row r of A^T has column c for each arc c -> r
+    parts = [(head[order], tail[order], w[order].astype(np.int64), d)]
+    perms = []  # of the blocks, in order
+    while parts:
+        rows, cols, counts, k = parts.pop()
+        keep = counts > 0
+        rows, cols, counts = rows[keep], cols[keep], counts[keep]
+        if rows.size == n:  # k times one permutation; rows are 0..n-1 in order
+            perms += [cols] * k
+        elif k % 2:
+            perms.append(_perfect_matching(n, rows, cols))
+            parts.append((rows, cols, counts - (cols == perms[-1][rows]), k - 1))
+        else:
+            parts += [(rows, cols, half, k // 2) for half in _euler_split(cols, counts)[::-1]]
+    perm = np.array(perms) + np.arange(d)[:, None] * n  # block i: row i n + r to i n + perm[i, r]
+    return KrausGrid._permutation(d, n, perm.reshape(-1), np.ones(d * n, dtype=np.complex128))
 
 
-def _perfect_matching(counts: np.ndarray) -> np.ndarray:
-    """Row -> column perfect matching on the nonzero pattern of a
-    nonnegative integer matrix, by Hopcroft-Karp (1973). Each phase
-    layers the rows by breadth-first search from the free rows up to the
-    first free column, then augments along shortest paths found by an
-    iterative depth-first search, rows and columns in ascending order.
-    The first phase is thus the greedy matching: each row in turn takes
-    its lowest-index free column. A matching exists for regular matrices
+def _euler_split(cols: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The counts of the two halves of an Euler partition of a part of even
+    degree, given row-major: half of each count, and the arcs of odd count
+    paired at each row and each column, the two of a pair in different halves.
+    Pointer jumping labels each arc with the least on its orbit under (column
+    partner) o (row partner); the first half takes an arc whose label is the
+    smaller of its row pair's."""
+    odd = np.flatnonzero(counts % 2)
+    partner = np.arange(odd.size) ^ 1  # at a row: each row's arcs are adjacent and even
+    by_col = np.argsort(cols[odd], kind="stable")
+    step = np.empty_like(by_col)
+    step[by_col] = by_col[partner]
+    step, label = step[partner], np.arange(odd.size)
+    while not np.array_equal(jumped := np.minimum(label, label[step]), label):
+        label, step = jumped, step[step]
+    halves = np.tile(counts // 2, (2, 1))
+    halves[(label > label[partner]) * 1, odd] += 1
+    return halves
+
+
+def _perfect_matching(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Row -> column perfect matching of the distinct arcs (rows, cols),
+    given row-major, by Hopcroft-Karp (1973). Each phase layers the rows
+    by breadth-first search from the free rows up to the first free
+    column, then augments along shortest paths found by an iterative
+    depth-first search, rows and columns in ascending order. The first
+    phase is thus the greedy matching: each row in turn takes its
+    lowest-index free column. A matching exists for regular graphs
     (Hall/Koenig), so failure is an internal error.
     """
-    n = counts.shape[0]
-    rows, cols = np.nonzero(counts)
-    adj = [c.tolist() for c in np.split(cols, np.searchsorted(rows, np.arange(1, n)))]
+    cl, ends = cols.tolist(), np.searchsorted(rows, np.arange(n + 1)).tolist()
+    adj = [cl[i:j] for i, j in zip(ends, ends[1:])]  # the columns of each row
     owner, match = [-1] * n, [-1] * n  # row of each column, column of each row
     while True:
         free = [r for r in range(n) if match[r] == -1]
@@ -287,16 +323,19 @@ def _perfect_matching(counts: np.ndarray) -> np.ndarray:
                 break
 
 
-def verify_kraus(a: ComplexMatrix | None, grid: KrausGrid,
+def verify_kraus(a: ComplexMatrix | MultiGraph | None, grid: KrausGrid,
                  tol: Tolerance = DEFAULT_TOL) -> KrausReport:
     """Check a candidate grid: block sum against the transposed adjacency
-    (when ``a`` is given), plus column and row completeness."""
+    of ``a``, a matrix or a MultiGraph (when given), plus column and row
+    completeness. The block sum is compared on arcs, with no n x n array,
+    and bit-equal to ``max_norm(grid.block_sum() - adjacency.T)``."""
     if a is not None:
-        a = _as_matrix_keep_real(a)
-        if a.shape != (grid.n, grid.n):
+        shape, tail, head, weight = _arc_columns(a)
+        if shape != (grid.n, grid.n):
             raise PreconditionError(
-                f"adjacency shape {a.shape} does not match grid n={grid.n}")
-        sum_residual = max_norm(grid.block_sum() - a.T)
+                f"adjacency shape {shape} does not match grid n={grid.n}")
+        (rows, cols), values = grid._block_sum_entries()
+        sum_residual = max_norm(_sum_arcs(grid.n, [rows, head], [cols, tail], [values, -weight])[2])
         sum_ok = sum_residual <= tol.abs_eps
     else:
         sum_residual, sum_ok = None, None

@@ -502,6 +502,24 @@ print(grid.m, report.passed, report.sum_residual, shift.m * shift.n)
     assert proc.stdout.split() == ["3", "True", "0.0", "12000"]
 
 
+def test_graph_decompose_verify_assemble_fit_in_1_5_gb_at_n_100000():
+    # A dense adjacency of this graph would be (10^5)^2 float64 entries, 80 GB.
+    proc = run_limited(LIMIT_ADDRESS_SPACE + """
+import numpy as np
+from qwalk import MultiGraph, assemble_shift, decompose_permutations, verify_kraus
+n, d = 10 ** 5, 4
+rng = np.random.default_rng(n)
+head = np.concatenate([rng.permutation(n) for _ in range(d)])
+g = MultiGraph.from_columns(n, np.tile(np.arange(n), d), head, np.ones(d * n), np.full(d * n, -1))
+grid = decompose_permutations(g)
+report = verify_kraus(g, grid)
+shift = assemble_shift(grid)
+print(grid.m, report.passed, report.sum_residual, shift.m * shift.n)
+""")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["4", "True", "0.0", "400000"]
+
+
 def test_decompose_verify_roundtrip_always_passes(tmp_path, rng):
     from conftest import hypercube_adjacency
     for a in [np.ones((4, 4)), cycle_adjacency(6), hypercube_adjacency(3)]:

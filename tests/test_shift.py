@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, right_shift
+from conftest import (cycle_adjacency, cycle_shift_grid, haar_unitary, hypercube_adjacency,
+                      right_shift)
 from qwalk import (
     DEFAULT_TOL,
     Arc,
     CoinSpec,
+    Edge,
     KrausGrid,
     MultiGraph,
     NonUnitaryError,
@@ -20,10 +22,12 @@ from qwalk import (
     evolution,
     extract_family,
     extract_graph,
+    from_adjacency,
     is_unitary,
     max_norm,
     verify_kraus,
 )
+from qwalk import shift as shift_module
 from qwalk.shift import _perfect_matching
 
 SWAP = np.array([[1, 0, 0, 0],
@@ -112,6 +116,12 @@ class TestDecomposePermutations:
         assert grid.m == 3
         assert np.array_equal(grid.block_sum(), a.T)
 
+    def test_degrees_that_wrap_int64_are_refused(self):
+        # Each row sums to 3 * 6148914691236517888 >= 2^64, which wraps to
+        # 2048 in int64; the entries themselves are exact integers below 2^63.
+        with pytest.raises(PreconditionError, match="too large"):
+            decompose_permutations(np.full((3, 3), 6148914691236517888.0))
+
     def test_output_satisfies_completeness(self):
         grid = decompose_permutations(cycle_adjacency(6))
         assert grid.column_completeness_residual() == 0
@@ -133,16 +143,16 @@ class TestPerfectMatching:
         counts[np.arange(n - 1), np.arange(n - 1)] = 1
         counts[np.arange(n - 1), np.arange(1, n)] = 1
         counts[n - 1, 0] = 1
-        assert _perfect_matching(counts).tolist() == [*range(1, n), 0]
+        assert _perfect_matching(n, *np.nonzero(counts)).tolist() == [*range(1, n), 0]
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 5))
     @settings(max_examples=40, deadline=None)
     def test_valid_and_the_same_on_every_run(self, seed, n, d):
         rng = np.random.default_rng(seed)
         counts = sum(np.eye(n, dtype=np.int64)[rng.permutation(n)] for _ in range(d))
-        match = _perfect_matching(counts)
+        match = _perfect_matching(n, *np.nonzero(counts))
         assert self.is_perfect(counts, match)
-        assert np.array_equal(_perfect_matching(counts.copy()), match)
+        assert np.array_equal(_perfect_matching(n, *np.nonzero(counts.copy())), match)
 
 
 class TestVerifyKraus:
@@ -393,3 +403,108 @@ def test_block_sums_match_loop_reference(seed, shape):
     for j in range(m):
         assert max_norm(column_adjacency(u, m, j)
                         - sum(blocks[i][j] for i in range(m))) <= 1e-12
+
+
+@st.composite
+def regular_multigraphs(draw):
+    """(a, g): the sum of p seeded permutations plus c times one more, of
+    degree p + c in 1..9, as a float64 matrix and as a MultiGraph of
+    shuffled unit arcs, with parallel arcs, and undirected unit edges (a
+    self-loop counting twice) that give the same adjacency."""
+    n, p = draw(st.integers(1, 12)), draw(st.integers(0, 9))
+    c = draw(st.integers(0 if p else 1, 9 - p))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = np.zeros((n, n))
+    for _ in range(p):
+        a[np.arange(n), rng.permutation(n)] += 1
+    a[np.arange(n), rng.permutation(n)] += c
+    counts, edges = a.astype(np.int64), []
+    for u in range(n):
+        for v in range(u, n):
+            k = int(rng.integers(0, min(counts[u, v], counts[v, u]) // (2 if u == v else 1) + 1))
+            counts[u, v] -= k
+            counts[v, u] -= k
+            edges += [Edge(u, v)] * k
+    tail, head = np.nonzero(counts)
+    tail, head = (np.repeat(x, counts[tail, head]) for x in (tail, head))
+    order = rng.permutation(tail.size)
+    g = MultiGraph.from_columns(n, tail[order], head[order], np.ones(tail.size),
+                                np.full(tail.size, -1),
+                                undirected=[edges[i] for i in rng.permutation(len(edges))])
+    return a, g
+
+
+@given(regular_multigraphs())
+@settings(max_examples=100, deadline=None)
+def test_euler_decomposition_property(graph):
+    a, g = graph
+    assert np.array_equal(adjacency(g), a)
+    grid = decompose_permutations(a)
+    d, n = grid.m, grid.n
+    assert (d, n) == (int(a[0].sum()), a.shape[0])
+    perm, phase = grid.monomial()
+    for block in perm.reshape(d, n) - np.arange(d)[:, None] * n:
+        assert np.array_equal(np.sort(block), np.arange(n))
+    assert np.array_equal(phase, np.ones(d * n))
+    assert np.array_equal(grid.block_sum(), a.T)
+    for same in (a, a.astype(np.complex128), g):
+        assert decompose_permutations(same).monomial()[0].tobytes() == perm.tobytes()
+    assert verify_kraus(g, grid) == verify_kraus(a, grid)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the calls decompose_permutations makes to the matcher
+    and to the Euler split."""
+    counts = {"_perfect_matching": 0, "_euler_split": 0}
+    for name in counts:
+        def counted(*args, _name=name, _real=getattr(shift_module, name)):
+            counts[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(shift_module, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("a, matchings, splits", [
+    (cycle_adjacency(7), 0, 1),
+    (hypercube_adjacency(4), 0, 3),
+    (4 * np.ones((4, 4)), 0, 1 + 2 + 4 + 8),  # degrees 16, 8, 4 and 2 split
+    (hypercube_adjacency(3), 1, 1),  # odd degree 3: one matching, then a split of the rest
+], ids=["C_7", "Q_4", "4J_4", "Q_3"])
+def test_matchings_only_at_odd_degree(calls, a, matchings, splits):
+    grid = decompose_permutations(a)
+    assert np.array_equal(grid.block_sum(), a.T)
+    assert calls == {"_perfect_matching": matchings, "_euler_split": splits}
+
+
+def test_one_permutation_of_high_multiplicity_is_not_split(calls):
+    grid = decompose_permutations(np.array([[20000.0]]))
+    assert calls == {"_perfect_matching": 0, "_euler_split": 0}
+    assert grid.m == 20000
+    assert np.array_equal(grid.monomial()[0], np.arange(20000))  # identity blocks
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 6),
+       st.sampled_from(["phased", "unit", "dense"]),
+       st.sampled_from(["integer", "real", "complex", "exact"]))
+@settings(max_examples=200, deadline=None)
+def test_arc_residual_is_the_dense_oracle_property(seed, m, n, grid_kind, adjacency_kind):
+    rng = np.random.default_rng(seed)
+    if grid_kind == "dense":
+        u = haar_unitary(m * n, rng) * rng.integers(0, 2, (m * n, m * n))
+        grid = KrausGrid.from_matrix(u, m)
+    else:
+        phase = np.exp(2j * np.pi * rng.random(m * n)) if grid_kind == "phased" else np.ones(m * n)
+        grid = KrausGrid._permutation(m, n, rng.permutation(m * n), phase.astype(np.complex128))
+    mask = rng.integers(0, 2, (n, n))
+    a = {"integer": lambda: rng.integers(0, 3, (n, n)).astype(np.float64),
+         "real": lambda: rng.normal(size=(n, n)) * mask,
+         "complex": lambda: (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))) * mask,
+         "exact": lambda: grid.block_sum().T}[adjacency_kind]()
+    oracle = max_norm(grid.block_sum() - a.T)
+    for same in (a, from_adjacency(a)):
+        report = verify_kraus(same, grid)
+        assert report.sum_residual == oracle
+        assert report.sum_ok == (oracle <= DEFAULT_TOL.abs_eps)
+    if adjacency_kind == "exact":
+        assert oracle == 0

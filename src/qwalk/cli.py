@@ -10,6 +10,7 @@ Exit-code contract (stable for shell harnesses):
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from . import fileio
 from .coins import CoinSpec, coin_matrix, evolution, named_coin, NAMED_COINS
 from .errors import FileFormatError, NonUnitaryError, PreconditionError
 from .linalg import Tolerance, require_unitary
-from .shift import (assemble_shift, decompose_permutations, extract_family,
+from .shift import (_extract, _family_dims, assemble_shift, decompose_permutations,
                     extract_graph, verify_kraus)
 from .walk import classical_trajectory, measure_position, step
 
@@ -132,26 +133,59 @@ def cmd_classical(args) -> int:
     return EXIT_OK
 
 
-def _save_extracted(m, grid, graph, out_path) -> None:
+def _save_extracted(m, grid, graph, out_path) -> str:
+    """Write one extracted graph and its adjacency; return the summary line."""
     fileio.save_graph(graph, out_path)
     adjacency_path = Path(out_path).with_suffix(".adjacency.json")
     fileio.save_matrix(grid.block_sum().T, adjacency_path)
-    print(f"m={m} n={grid.n}: {graph.tail.size} arcs -> {out_path} "
-          f"(adjacency: {adjacency_path})")
+    return (f"m={m} n={grid.n}: {graph.tail.size} arcs -> {out_path} "
+            f"(adjacency: {adjacency_path})")
+
+
+_family = None  # (u, tol, base path) of a family worker, set by _hold_family
+
+
+def _hold_family(u, tol, base) -> None:
+    global _family
+    _family = u, tol, base
+
+
+def _extract_member(m: int) -> str:
+    u, tol, base = _family
+    return _save_extracted(m, *_extract(u, m, tol), base.with_suffix(f".m{m}.json"))
+
+
+def _extract_all(u, tol, base) -> None:
+    """Extract and write the family of ``u``, one forked worker per
+    available CPU, and print the summary lines in increasing m. The
+    workers inherit U; each holds one member at a time, so up to that
+    many members are alive at once."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    dims = _family_dims(u, tol)
+    pool = ProcessPoolExecutor(min(len(dims), len(os.sched_getaffinity(0))),
+                               multiprocessing.get_context("fork"),
+                               initializer=_hold_family, initargs=(u, tol, base))
+    try:
+        for line in pool.map(_extract_member, dims):
+            print(line)
+    except BrokenProcessPool as exc:  # a worker was killed, most likely for memory
+        raise PreconditionError(f"an extraction worker died: {exc}") from exc
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def cmd_extract(args) -> int:
     u = fileio.load_matrix(args.unitary)
     tol = _tol(args)
     if args.all_partitions:
-        base = Path(args.out)
-        for m, grid, graph in extract_family(u, tol):
-            _save_extracted(m, grid, graph, base.with_suffix(f".m{m}.json"))
-            del grid, graph  # not alive while the next pair is built
+        _extract_all(u, tol, Path(args.out))
         return EXIT_OK
     if args.m is None:
         raise PreconditionError("extract requires --m or --all-partitions")
-    _save_extracted(args.m, *extract_graph(u, args.m, tol), args.out)
+    print(_save_extracted(args.m, *extract_graph(u, args.m, tol), args.out))
     return EXIT_OK
 
 

@@ -90,11 +90,10 @@ def _scalar_texts(values: list) -> list[str]:
 _FIELD = "\0"  # marks a template field; json writes it as "\u0000"
 
 
-def _template(skeleton, level: int):
-    """str.format of the json text of ``skeleton`` nested ``level`` deep,
-    with one {} field per _FIELD leaf."""
-    text = "".join(_chunks(skeleton, level))
-    return text.replace("{", "{{").replace("}", "}}").replace(json.dumps(_FIELD), "{}").format
+def _template(skeleton, level: int) -> list[str]:
+    """The json text of ``skeleton`` nested ``level`` deep, split at its
+    _FIELD leaves: one more literal piece than there are fields."""
+    return "".join(_chunks(skeleton, level)).split(json.dumps(_FIELD))
 
 
 def _records(skeleton, count: int, columns):
@@ -105,12 +104,22 @@ def _records(skeleton, count: int, columns):
         if not count:
             yield "[]"
             return
-        record = _template(skeleton, level + 1)
+        pieces = _template(skeleton, level + 1)
+        fields = len(pieces) - 1
         sep = ",\n" + " " * (level + 1)
+        # A chunk alternates pieces and field texts, record after record; the
+        # piece before a record's first field also closes the record before.
+        pattern = [None] * (2 * fields)
+        pattern[::2] = [pieces[-1] + sep + pieces[0], *pieces[1:-1]]
+        pattern *= CHUNK
         yield "["
         for i in range(0, count, CHUNK):
-            texts = map(_scalar_texts, columns(i, i + CHUNK))
-            yield (sep if i else sep[1:]) + sep.join(map(record, *texts))
+            texts = list(map(_scalar_texts, columns(i, i + CHUNK)))
+            out = pattern[:2 * fields * len(texts[0])]
+            out[0] = (sep if i else sep[1:]) + pieces[0]
+            for f, column in enumerate(texts):
+                out[2 * f + 1::2 * fields] = column
+            yield "".join(out) + pieces[-1]
         yield "\n" + " " * level + "]"
     return render
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .linalg import ComplexMatrix, Tolerance, DEFAULT_TOL, _as_matrix_keep_real
+from .linalg import ComplexMatrix, Tolerance, DEFAULT_TOL, _as_matrix_keep_real, _nonzero
 
 __all__ = [
     "Arc",
@@ -164,7 +164,7 @@ def _arc_columns(a) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray
     ``adjacency(a)``'s. A matrix is checked as by ``as_matrix``, in place."""
     if not isinstance(a, MultiGraph):
         a = _as_matrix_keep_real(a)
-        tail, head = np.divmod(np.flatnonzero(a != 0), a.shape[1])  # np.nonzero(a), faster
+        tail, head = _nonzero(a)
         return a.shape, tail, head, a[tail, head]
     uv = np.array([[e.u, e.v] for e in a.undirected], dtype=np.int64).reshape(-1, 2)
     w = np.repeat(np.array([e.weight for e in a.undirected], dtype=np.complex128), 2)

@@ -87,9 +87,9 @@ def monomial(a: ComplexMatrix) -> tuple[NDArray[np.int64], ComplexMatrix] | None
     permutation shift), else None. Then a†a is diagonal, entry perm[r]
     being |phase[r]|^2. ``a`` is already checked by ``as_matrix``."""
     n = a.shape[0]
-    if a.shape != (n, n):
+    if a.shape != (n, n) or np.count_nonzero(a) != n:  # dense input: no scan
         return None
-    rows, cols = np.nonzero(a)
+    rows, cols = _nonzero(a)
     if not np.array_equal(rows, np.arange(n)):
         return None
     hit = np.zeros(n, dtype=bool)
@@ -122,6 +122,12 @@ def require_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL,
     if r > tol.abs_eps:
         raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
     return a
+
+
+def _nonzero(a) -> tuple[NDArray[np.int64], NDArray[np.int64]]:
+    """``np.nonzero`` of a matrix, the same cells in the same row-major
+    order, by one flat scan: several times faster."""
+    return np.divmod(np.flatnonzero(a != 0), a.shape[1])
 
 
 def _require_indexable(entries: int, what: str) -> None:

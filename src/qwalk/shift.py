@@ -26,6 +26,7 @@ from .linalg import (
     ComplexMatrix,
     Tolerance,
     DEFAULT_TOL,
+    _nonzero,
     _require_indexable,
     as_matrix,
     max_norm,
@@ -138,7 +139,7 @@ class KrausGrid:
         """((rows, cols), values) whose sums per entry, in order, are ``block_sum()``."""
         if isinstance(self._s, tuple):
             return (np.arange(self._s[0].size) % self.n, self._s[0] % self.n), self._s[1]
-        index = np.nonzero(total := self.block_sum())
+        index = _nonzero(total := self.block_sum())
         return index, total[index]
 
     def column_completeness_residual(self) -> float:
@@ -380,11 +381,16 @@ def extract_family(u: ComplexMatrix, tol: Tolerance = DEFAULT_TOL):
     """Yield (m, grid, graph) as ``extract_graph`` gives them for every
     divisor m of the dimension of a bipartite unitary, in increasing
     order, checking unitarity once."""
+    for m in _family_dims(u, tol):
+        yield (m, *_extract(u, m, tol))
+
+
+def _family_dims(u: ComplexMatrix, tol: Tolerance) -> list[int]:
+    """The coin dimensions m of the family of ``u``, every divisor of its
+    dimension in increasing order, once ``u`` is checked unitary."""
     require_unitary(u, tol, "input matrix")
     dim = np.shape(u)[0]
-    for m in range(1, dim + 1):
-        if dim % m == 0:
-            yield (m, *_extract(u, m, tol))
+    return [m for m in range(1, dim + 1) if dim % m == 0]
 
 
 def _extract(u: ComplexMatrix, m: int, tol: Tolerance) -> tuple[KrausGrid, MultiGraph]:

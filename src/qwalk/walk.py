@@ -12,7 +12,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import PreconditionError
-from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, _as_matrix_keep_real
+from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, _as_matrix_keep_real, _nonzero
 
 __all__ = [
     "WalkerState",
@@ -175,7 +175,7 @@ def _transition_arcs(a: ComplexMatrix) -> tuple[int, np.ndarray, np.ndarray, np.
     if np.any(degrees == 0):
         zero_rows = np.flatnonzero(degrees == 0).tolist()
         raise PreconditionError(f"vertices {zero_rows} have zero out-degree")
-    tail, head = np.nonzero(a)
+    tail, head = _nonzero(a)
     return a.shape[0], tail, head, a.real[tail, head] / degrees[tail]
 
 

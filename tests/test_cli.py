@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from qwalk import (
     assemble_shift,
     basis_state,
     classical_walk,
+    extract_family,
     max_norm,
     named_coin,
 )
@@ -313,10 +315,16 @@ class TestExtract:
         assert calls == [(8, 8)]
 
     def test_all_partitions_builds_no_arc_objects(self, tmp_path, rng, monkeypatch, capsys):
-        built = []
+        built, parent = [], os.getpid()
         init = Arc.__init__
-        monkeypatch.setattr(Arc, "__init__",
-                            lambda self, *a, **k: built.append(a) or init(self, *a, **k))
+
+        def counted(self, *a, **k):
+            if os.getpid() != parent:  # the counter would not reach the parent
+                raise RuntimeError("an extraction worker built an Arc")
+            built.append(a)
+            init(self, *a, **k)
+
+        monkeypatch.setattr(Arc, "__init__", counted)
         u = write_matrix(tmp_path, "u12.json", haar_unitary(12, rng))
         out = tmp_path / "family.json"
         assert main(["extract", u, "--all-partitions", "--out", str(out)]) == 0
@@ -326,6 +334,52 @@ class TestExtract:
             str(144 // m) for m in (1, 2, 3, 4, 6, 12)]
         assert len(fileio.load_graph(tmp_path / "family.m2.json").arcs) == 72
         assert len(built) == 72  # the counter sees arcs built on request
+
+    def test_all_partitions_matches_serial_family(self, tmp_path, rng, capsys):
+        u = haar_unitary(12, rng)
+        path = write_matrix(tmp_path, "u12.json", u)
+        (tmp_path / "serial").mkdir()
+        expected = []
+        for m, grid, graph in extract_family(u):
+            out = tmp_path / "serial" / f"family.m{m}.json"
+            fileio.save_graph(graph, out)
+            fileio.save_matrix(grid.block_sum().T, out.with_suffix(".adjacency.json"))
+            expected.append(f"m={m} n={grid.n}: {graph.tail.size} arcs -> "
+                            f"{tmp_path / f'family.m{m}.json'} (adjacency: "
+                            f"{tmp_path / f'family.m{m}.adjacency.json'})")
+        capsys.readouterr()
+        assert main(["extract", path, "--all-partitions",
+                     "--out", str(tmp_path / "family.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == expected
+        assert multiprocessing.active_children() == []
+        for f in sorted((tmp_path / "serial").iterdir()):
+            assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
+        assert len(list((tmp_path / "serial").iterdir())) == 12
+
+    def test_worker_error_exits_1(self, tmp_path, rng, capfd):
+        u = write_matrix(tmp_path, "u12.json", haar_unitary(12, rng))
+        (tmp_path / "family.m2.json").mkdir()
+        assert main(["extract", u, "--all-partitions",
+                     "--out", str(tmp_path / "family.json")]) == 1
+        err = capfd.readouterr().err
+        assert "error:" in err and "family.m2.json" in err and "Traceback" not in err
+        assert multiprocessing.active_children() == []
+
+    def test_killed_worker_exits_2(self, tmp_path, rng, capfd, monkeypatch):
+        parent, save = os.getpid(), fileio.save_graph
+
+        def dies_at_m2(graph, path):
+            if os.getpid() != parent and str(path).endswith(".m2.json"):
+                os._exit(9)
+            save(graph, path)
+
+        monkeypatch.setattr(fileio, "save_graph", dies_at_m2)
+        u = write_matrix(tmp_path, "u12.json", haar_unitary(12, rng))
+        assert main(["extract", u, "--all-partitions",
+                     "--out", str(tmp_path / "family.json")]) == 2
+        err = capfd.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert multiprocessing.active_children() == []
 
     def test_non_divisible_exits_2(self, tmp_path, rng):
         u = write_matrix(tmp_path, "u6.json", haar_unitary(6, rng))
@@ -464,6 +518,14 @@ def run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-c", code, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_cli_import_loads_no_process_pool():
+    """Only ``extract --all-partitions`` pays for importing the pool."""
+    proc = run_limited("import sys, qwalk.cli; "
+                       "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("command, obj", [

@@ -14,7 +14,7 @@ from qwalk import (
     max_norm,
     unitarity_residual,
 )
-from qwalk.linalg import monomial
+from qwalk.linalg import _nonzero, monomial
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 SWAP = np.array([[1, 0, 0, 0],
@@ -181,3 +181,15 @@ class TestMonomialUnitarityResidual:
         assert max_norm(gram - np.diag(gram.diagonal())) == 0
         assert monomial(H) is None
         assert monomial(np.ones((2, 3))) is None  # not square
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 9), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_flat_scan_is_np_nonzero(seed, rows, cols, complex_entries):
+    rng = np.random.default_rng(seed)
+    a = rng.choice([0.0, -0.0, 1.0, -2.5], size=(rows, cols))
+    if complex_entries:
+        a = a + 1j * rng.choice([0.0, -0.0, 3.0], size=(rows, cols))
+    expected = np.nonzero(a)
+    found = _nonzero(a)
+    assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(found, expected))

@@ -5,11 +5,16 @@ of ``json.dump(obj, f, indent=1)``, and floats in them are written as
 json writes them (the shortest repr); floats in CSV output use
 17-significant-digit formatting. Identical inputs produce byte-identical
 files on every platform.
+
+Matrix files are read at about the cost of their nonzero entries: exact
+zero pairs laid out as qwalk writes them, or as json.dumps' default
+layout does, are collapsed before json parses the text.
 """
 
 import cmath
 import json
-from itertools import islice
+from itertools import compress, islice, repeat
+from operator import is_not
 
 import numpy as np
 
@@ -38,9 +43,18 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_json(path):
-    with open(path, "r", encoding="utf-8") as f:
-        return json.load(f)
+def _load_json(path, parse=json.loads):
+    """``parse`` of the text of the UTF-8 file at ``path``. Bad input raises
+    json.JSONDecodeError, or FileFormatError for the rest of what reading
+    and json refuse: invalid UTF-8, an integer of over 4300 digits,
+    nesting deeper than the stack."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            return parse(f.read())
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:
+        raise FileFormatError(f"unreadable JSON: {exc}") from exc
 
 
 # The JSON writers write exactly the text of json.dump(obj, f, indent=1)
@@ -180,6 +194,12 @@ def _pair_to_complex(pair) -> complex:
 
 
 def matrix_from_obj(obj) -> ComplexMatrix:
+    return _matrix(obj, _complex_vector)
+
+
+def _matrix(obj, vector) -> ComplexMatrix:
+    """The matrix of a parsed matrix object whose entries list ``vector``
+    reads, with matrix_from_obj's checks in its order."""
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
     except (TypeError, KeyError) as exc:
@@ -187,7 +207,7 @@ def matrix_from_obj(obj) -> ComplexMatrix:
     _ints("matrix rows/cols", rows, cols)
     if rows < 1 or cols < 1:
         raise FileFormatError("matrix rows/cols must be positive integers")
-    flat = _complex_vector(entries, "matrix entries")
+    flat = vector(entries, "matrix entries")
     if flat.size != rows * cols:
         raise FileFormatError(
             f"matrix has {flat.size} entries, expected {rows * cols}")
@@ -211,8 +231,48 @@ def _matrix_skeleton(a: ComplexMatrix) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": _pairs(a)}
 
 
+# An exact zero pair as the matrix writer lays it out, and as json.dumps'
+# default layout does.
+_ZERO_PAIRS = ("[\n   0.0,\n   0.0\n  ]", "[0.0, 0.0]")
+
+
+def _parse_matrix(text: str) -> ComplexMatrix:
+    """matrix_from_obj(json.loads(text)), with each of _ZERO_PAIRS in the
+    text collapsed to one null before json parses it.
+
+    Each None in the parsed entries then stands for a zero pair. The text
+    is parsed as it is where it holds a null (it would pass for a pair) or
+    a backslash (an escape such as "\\[" could turn a pair inside a string
+    into valid text), or where the parsed entries do not hold one None per
+    collapsed pair (a pair inside a string, or outside the entries). So the
+    collapse never changes what is read or refused."""
+    collapsed, zeros = text, 0
+    if "\\" not in text:
+        for pair in _ZERO_PAIRS:
+            shorter = collapsed.replace(pair, "null")
+            zeros += (len(collapsed) - len(shorter)) // (len(pair) - len("null"))
+            collapsed = shorter
+    if zeros and "null" not in text:
+        try:
+            obj = json.loads(collapsed)
+        except (ValueError, RecursionError):  # json's own error comes below
+            obj = None
+        entries = obj.get("entries") if isinstance(obj, dict) else None
+        if isinstance(entries, list) and entries.count(None) == zeros:
+            return _matrix(obj, _scattered)
+    return matrix_from_obj(json.loads(text))
+
+
+def _scattered(entries: list, what: str) -> np.ndarray:
+    """_complex_vector of ``entries`` whose None items are zero pairs."""
+    nonzero = np.fromiter(map(is_not, entries, repeat(None)), bool, len(entries))
+    flat = np.zeros(len(entries), dtype=np.complex128)
+    flat[nonzero] = _complex_vector(list(compress(entries, nonzero)), what)
+    return flat
+
+
 def load_matrix(path) -> ComplexMatrix:
-    return matrix_from_obj(_load_json(path))
+    return _load_json(path, _parse_matrix)
 
 
 def save_matrix(a: ComplexMatrix, path) -> None:

@@ -449,16 +449,33 @@ class TestBadInput:
          {"m": True, "n": 4, "amplitudes": [[1, 0]] + [[0, 0]] * 3}, 1),
         (["assemble", "{file}"], {"m": True, "n": 2, "blocks": [[I2]]}, 1),
         (["decompose", "{file}"], {"rows": 1, "cols": 1, "entries": [[1e20, 0]]}, 2),
+        (["extract", "{file}", "--m", "1"],
+         b'{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\xff"}', 1),
+        (["classical", "{c4}", "{file}", "--steps", "1"],
+         b'{"n": 4, "probs": [0.25, 0.25, 0.25, 0.25], "note": "\xff"}', 1),
+        (["extract", "{file}", "--m", "1"],
+         b'{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1' + b"0" * 5000 + b', 0]]}', 1),
+        (["classical", "{c4}", "{file}", "--steps", "1"],
+         b'{"n": 4, "probs": [1' + b"0" * 5000 + b', 0, 0, 0]}', 1),
+        (["extract", "{file}", "--m", "1"], b'{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], '
+         b'"note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", 1),
+        (["classical", "{c4}", "{file}", "--steps", "1"],
+         b'{"n": 4, "probs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", 1),
     ], ids=["extract-m0", "extract-m-neg", "grid-blocks-int", "grid-rows-int",
             "matrix-entries-int", "probs-str", "probs-int", "coin-m-str",
             "grid-ragged-rows", "grid-wrong-m", "grid-wrong-n", "grid-mixed-sizes",
             "grid-m0", "matrix-int-overflow", "state-int-overflow", "probs-nested",
             "probs-numeric-strings", "walk-non-square", "extract-non-square",
             "evolve-op-non-square", "coin-n-bool", "coin-m-neg", "coin-m-huge",
-            "matrix-rows-bool", "state-m-bool", "grid-m-bool", "decompose-huge-entry"])
+            "matrix-rows-bool", "state-m-bool", "grid-m-bool", "decompose-huge-entry",
+            "matrix-not-utf8", "probs-not-utf8", "matrix-int-too-long", "probs-int-too-long",
+            "matrix-nested-too-deep", "probs-nested-too-deep"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, obj, code):
         path = tmp_path / "input.json"
-        path.write_text(json.dumps(obj))
+        if isinstance(obj, bytes):  # a file that json.dumps cannot write
+            path.write_bytes(obj)
+        else:
+            path.write_text(json.dumps(obj))
         c4 = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
         state, coin = tmp_path / "state.json", tmp_path / "coin.json"
         fileio.save_state(basis_state(2, 4, 0, 0), state)
@@ -711,11 +728,12 @@ def test_fuzzed_input_exits_0_to_4(tmp_path_factory, data):
     path = data.draw(st.sampled_from(list(_paths(inputs[target]))))
     value = data.draw(FUZZ_VALUES | st.just(DELETE) if path else FUZZ_VALUES)
     inputs[target] = _mutate(inputs[target], path, value)
+    indent = data.draw(st.sampled_from([None, 1]))  # both layouts of a zero pair
     tmp = tmp_path_factory.mktemp("fuzz")
     files = {}
     for name in names:
         files[name] = tmp / f"{name}.json"
-        files[name].write_text(json.dumps(inputs[name]))
+        files[name].write_text(json.dumps(inputs[name], indent=indent))
     argv = [a.format(**files) for a in argv]
     if argv[0] != "verify":
         argv += ["--out", str(tmp / "out.json")]

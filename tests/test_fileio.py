@@ -210,13 +210,36 @@ def matrix_obj(a) -> dict:
     return {"rows": a.shape[0], "cols": a.shape[1], "entries": pair_list(a)}
 
 
+# Exact zero pairs of each sign, half-zero pairs and finite pairs.
+pairs = st.one_of(st.sampled_from([(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]),
+                  st.tuples(finite, st.just(0.0)), st.tuples(st.just(0.0), finite),
+                  st.tuples(finite, finite))
+
+
 @st.composite
 def complex_matrices(draw, max_side=5):
     rows, cols = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
-    parts = draw(st.lists(finite, min_size=2 * rows * cols, max_size=2 * rows * cols))
-    a = np.empty(rows * cols, dtype=np.complex128)
-    a.real, a.imag = parts[0::2], parts[1::2]
-    return a.reshape(rows, cols)
+    parts = draw(st.lists(pairs, min_size=rows * cols, max_size=rows * cols))
+    return np.array(parts).view(np.complex128).reshape(rows, cols)
+
+
+def assert_reads_back(a, path) -> None:
+    """load_matrix reads the file at ``path`` as ``a``, bit for bit."""
+    got = fileio.load_matrix(path)
+    assert got.shape == a.shape
+    assert got.view(np.float64).tobytes() == a.view(np.float64).tobytes()
+
+
+def with_zero_pairs(z):
+    """A copy of the complex vector z with exact zero pairs of each sign and
+    half-zero pairs written over a spread of its entries."""
+    z = np.array(z, dtype=np.complex128)
+    z[::3] = 0
+    z[1::7] = complex(-0.0, 0.0)
+    z[2::11] = complex(0.0, -0.0)
+    z.real[4::5] = 0
+    z.imag[5::13] = 0
+    return z
 
 
 def with_specials(z):
@@ -232,15 +255,23 @@ class TestWriterBytes:
     @given(complex_matrices())
     @settings(max_examples=60, deadline=None)
     def test_matrix(self, tmp_path_factory, a):
-        got = saved_bytes(fileio.save_matrix, a, tmp_path_factory.mktemp("m"))
+        tmp = tmp_path_factory.mktemp("m")
+        got = saved_bytes(fileio.save_matrix, a, tmp)
         assert got == reference_bytes(matrix_obj(a))
         assert fileio.matrix_to_obj(a) == matrix_obj(a)
+        assert_reads_back(a, tmp / "out.json")
+        (tmp / "dumps.json").write_text(json.dumps(matrix_obj(a)))
+        assert_reads_back(a, tmp / "dumps.json")
 
     @pytest.mark.parametrize("size", SIZES)
     def test_matrix_across_chunks(self, tmp_path, rng, size):
-        a = with_specials(rng.normal(size=size) + 1j * rng.normal(size=size))
+        a = with_specials(with_zero_pairs(rng.normal(size=size) + 1j * rng.normal(size=size)))
         a = a.reshape(1, size)
-        assert saved_bytes(fileio.save_matrix, a, tmp_path) == reference_bytes(matrix_obj(a))
+        got = saved_bytes(fileio.save_matrix, a, tmp_path)
+        assert got == reference_bytes(matrix_obj(a))
+        assert_reads_back(a, tmp_path / "out.json")
+        (tmp_path / "dumps.json").write_text(json.dumps(matrix_obj(a)))
+        assert_reads_back(a, tmp_path / "dumps.json")
 
     @pytest.mark.parametrize("size", [1, 3, fileio.CHUNK + 1])
     def test_state(self, tmp_path, rng, size):
@@ -361,6 +392,20 @@ class TestWriterBytes:
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 
+def read_uncollapsed(path):
+    return fileio.matrix_from_obj(fileio._load_json(path))
+
+
+def outcome(read, path):
+    """The bits and shape of what ``read(path)`` returns, or the class and
+    message of what it raises."""
+    try:
+        a = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return a.shape, a.view(np.float64).tobytes()
+
+
 class TestMatrixReader:
     @pytest.mark.parametrize("entries", [
         [[1, 0], 5],
@@ -396,6 +441,52 @@ class TestMatrixReader:
     def test_keeps_the_sign_of_zero(self):
         a = fileio.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[-0.0, -0.0]]})
         assert np.signbit(a.real[0, 0]) and np.signbit(a.imag[0, 0])
+
+    @pytest.mark.parametrize("text", [
+        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "[0.0, 0.0]"}',
+        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "[\n   0.0,\n   0.0\n  ]"}',
+        '{"rows": [0.0, 0.0], "cols": 1, "entries": [[0.0, 0.0]]}',
+        '{"rows": 1, "cols": 2, "entries": [0.0, 0.0]}',
+        '{"rows": 1, "cols": 2, "entries": [\n   0.0,\n   0.0\n  ]}',
+        '{"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], 1.0], [0.0, 0.0]]}',
+        '{"rows": 1, "cols": 1, "entries": [[[0.0, 0.0], [0.0, 0.0]]]}',
+        '[0.0, 0.0]',
+        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0]], "names": null}',
+        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], null]}',
+        '{"rows": 1, "cols": 2, "entries": [[1.0, 0.0], null], "note": "[0.0, 0.0]"}',
+        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\\[0.0, 0.0]"}',
+        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\\u005b"}',
+        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0]]}'.encode("utf-16"),
+        '{"rows": 1, "cols": 3, "entries": [[0.0, 0.0], [NaN, 0.0], [0.0, 0.0]]}',
+        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, Infinity]]}',
+        '{"rows": 2, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}',
+        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "entries": [[1.0, 0.0]]}',
+        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1' + "0" * 5000 + ', 0]]}',
+        '{"rows": 1, "cols": 3, "entries": [[0.0, 0.0], [10000000000000000001, -0.0], '
+        '[true, 0.0]]}',
+        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, 0.0]] ',
+    ], ids=["pair-in-string", "indent-pair-in-string", "pair-as-rows", "pair-as-entries",
+            "indent-pair-as-entries", "pair-in-item", "pairs-as-item", "pair-as-file",
+            "null-elsewhere", "null-item", "null-item-and-pair-in-string",
+            "escape-before-pair", "escape-elsewhere", "utf-16", "nan-next-to-pairs", "inf-next-to-pairs", "wrong-count", "duplicate-entries",
+            "int-too-long", "mixed-numbers", "truncated"])
+    def test_collapse_keeps_the_verdict(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        assert outcome(fileio.load_matrix, path) == outcome(read_uncollapsed, path)
+
+    @given(st.lists(st.one_of(pairs, st.tuples(st.integers(-2 ** 70, 2 ** 70), finite),
+                              st.tuples(st.booleans(), st.booleans())), min_size=1, max_size=20),
+           st.sampled_from([None, 1]), st.integers(-1, 1))
+    @settings(max_examples=200, deadline=None)
+    def test_collapse_keeps_the_matrix(self, tmp_path_factory, entries, indent, extra):
+        path = tmp_path_factory.mktemp("m") / "m.json"
+        obj = {"rows": 1, "cols": len(entries) + extra, "entries": entries}
+        path.write_text(json.dumps(obj, indent=indent))
+        assert outcome(fileio.load_matrix, path) == outcome(read_uncollapsed, path)
 
     def test_graph_weight_overflow(self, tmp_path):
         path = tmp_path / "g.json"

@@ -23,7 +23,6 @@ from .graphs import (
 )
 from .shift import (
     KrausGrid,
-    ShiftOperator,
     KrausReport,
     decompose_permutations,
     verify_kraus,

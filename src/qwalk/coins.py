@@ -21,7 +21,7 @@ from .linalg import (
     monomial,
     require_unitary,
 )
-from .shift import KrausGrid, ShiftOperator
+from .shift import KrausGrid
 from .walk import _Factored
 
 __all__ = [
@@ -132,10 +132,11 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
     return full.reshape(m * n, m * n)
 
 
-def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
+def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
               tol: Tolerance = DEFAULT_TOL) -> ComplexMatrix:
     """One-step evolution operator S (C (x) I_n): the shift applied after
-    the coin.
+    the coin. ``shift`` is S, or a grid that holds it, such as the one
+    ``assemble_shift`` returns.
 
     When S is monomial, as every decomposed or assembled shift is, with
     (S x)[r] = phase[r] x[perm[r]] and perm[r] = i n + v, U is one
@@ -147,8 +148,8 @@ def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
     then the permutation, in O(n m^2), without reading the dense matrix.
     Any other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S
     and the dense check of U. U is read-only either way."""
-    if isinstance(shift, ShiftOperator):
-        shape, mono = (shift.m * shift.n,) * 2, shift.grid.monomial()
+    if isinstance(shift, KrausGrid):
+        shape, mono = (shift.m * shift.n,) * 2, shift.monomial()
     else:
         shift = as_matrix(shift)
         shape, mono = shift.shape, monomial(shift)
@@ -158,7 +159,7 @@ def evolution(shift: ShiftOperator | ComplexMatrix, spec: CoinSpec,
             f"shift {shape} and coin {(m * n, m * n)} dimensions disagree")
     coins = _vertex_coins(spec)
     if mono is None:
-        s = shift.matrix if isinstance(shift, ShiftOperator) else shift
+        s = shift.matrix if isinstance(shift, KrausGrid) else shift
         u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins).reshape(m * n, m * n)
         u.setflags(write=False)
         return require_unitary(u, tol, "evolution operator")

@@ -11,7 +11,6 @@ zero pairs laid out as qwalk writes them, or as json.dumps' default
 layout does, are collapsed before json parses the text.
 """
 
-import cmath
 import json
 from itertools import compress, islice, repeat
 from operator import is_not
@@ -27,7 +26,7 @@ from .walk import ProbabilityVector, WalkerState
 
 __all__ = [
     "fmt_float",
-    "load_matrix", "save_matrix", "matrix_to_obj", "matrix_from_obj",
+    "load_matrix", "save_matrix", "matrix_from_obj",
     "load_graph", "save_graph",
     "load_grid", "save_grid",
     "load_coin_spec", "save_coin_spec",
@@ -180,19 +179,6 @@ def _complex_vector(items, what: str) -> np.ndarray:
     return np.ascontiguousarray(pairs).view(np.complex128).reshape(-1)
 
 
-def _pair_to_complex(pair) -> complex:
-    if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-            or not all(isinstance(x, (int, float)) for x in pair)):
-        raise FileFormatError(f"expected a [re, im] pair, got {pair!r}")
-    try:
-        z = complex(pair[0], pair[1])
-    except OverflowError as exc:  # an integer beyond the float range
-        raise FileFormatError(f"[re, im] pair out of range: {exc}") from exc
-    if not cmath.isfinite(z):
-        raise FileFormatError(f"[re, im] pair is not finite: {pair!r}")
-    return z
-
-
 def matrix_from_obj(obj) -> ComplexMatrix:
     return _matrix(obj, _complex_vector)
 
@@ -215,15 +201,6 @@ def _matrix(obj, vector) -> ComplexMatrix:
         return as_matrix(flat.reshape(rows, cols))
     except ValueError as exc:  # NaN or Inf entries
         raise FileFormatError(str(exc)) from exc
-
-
-def matrix_to_obj(a: ComplexMatrix) -> dict:
-    a = as_matrix(a)
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "entries": np.stack([a.real, a.imag], axis=-1).reshape(-1, 2).tolist(),
-    }
 
 
 def _matrix_skeleton(a: ComplexMatrix) -> dict:
@@ -279,28 +256,26 @@ def save_matrix(a: ComplexMatrix, path) -> None:
     _save_json(_matrix_skeleton(a), path)
 
 
-def _edge(item) -> Edge:
-    _ints("edge u/v", item["u"], item["v"])
-    return Edge(item["u"], item["v"], _pair_to_complex(item["w"]))
-
-
 def load_graph(path) -> MultiGraph:
     obj = _load_json(path)
     try:
-        arcs = obj.get("arcs", [])
+        arcs, edges = obj.get("arcs", []), obj.get("undirected", [])
         tail, head = [a["tail"] for a in arcs], [a["head"] for a in arcs]
         w, coins = [a["w"] for a in arcs], [a.get("coin") for a in arcs]
-        undirected = tuple(map(_edge, obj.get("undirected", [])))
+        u, v, edge_w = ([e[key] for e in edges] for key in ("u", "v", "w"))
         n, names = obj["n"], obj.get("names")
     except (AttributeError, TypeError, KeyError) as exc:
         raise FileFormatError(f"malformed graph file: {exc}") from exc
+    u, v = _ints("edge u/v", *u), _ints("edge u/v", *v)
+    weights = _complex_vector(w + edge_w, "arc and edge weights")
+    if not np.isfinite(weights).all():
+        raise FileFormatError("arc and edge weights must be finite")
+    weight, edge_w = np.split(weights, [len(w)])
+    undirected = tuple(map(Edge, u.tolist(), v.tolist(), edge_w.tolist()))
     tail, head = _ints("arc tail/head", *tail), _ints("arc tail/head", *head)
     coin = _ints("arc coin", *(-1 if c is None else c for c in coins))  # -1: untagged
     if np.count_nonzero(coin < 0) != coins.count(None):
         raise PreconditionError("coin_tag must be nonnegative")
-    weight = _complex_vector(w, "arc weights")
-    if not np.isfinite(weight).all():
-        raise FileFormatError("arc weights must be finite")
     _ints("graph n", n)
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(x, str) for x in names)):

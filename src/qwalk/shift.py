@@ -37,7 +37,6 @@ from .linalg import (
 
 __all__ = [
     "KrausGrid",
-    "ShiftOperator",
     "KrausReport",
     "decompose_permutations",
     "verify_kraus",
@@ -162,25 +161,6 @@ class KrausGrid:
 
 
 @dataclass(frozen=True)
-class ShiftOperator:
-    """A verified Kraus grid; its matrix is the unitary assembly S."""
-
-    grid: KrausGrid
-
-    @property
-    def matrix(self) -> ComplexMatrix:
-        return self.grid.matrix
-
-    @property
-    def m(self) -> int:
-        return self.grid.m
-
-    @property
-    def n(self) -> int:
-        return self.grid.n
-
-
-@dataclass(frozen=True)
 class KrausReport:
     """Outcome of checking a grid against an adjacency matrix.
 
@@ -208,8 +188,9 @@ def decompose_permutations(a: ComplexMatrix | MultiGraph) -> KrausGrid:
     A^T is held as distinct (row, column) pairs with counts and split by
     Euler partition (Gabow 1976), depth first, in this block order: a part
     whose rows each have one column is one permutation, repeated d' times
-    for its degree d'; a part of odd degree gives a Hopcroft-Karp matching,
-    then the blocks of the rest; one of even degree, those of its halves.
+    for its degree d'; a part of odd degree gives a matching found by Euler
+    splits (Alon 2003), then the blocks of the rest; one of even degree,
+    those of its halves.
     """
     shape, tail, head, weight = _arc_columns(a)
     if shape[0] != shape[1]:
@@ -241,7 +222,7 @@ def decompose_permutations(a: ComplexMatrix | MultiGraph) -> KrausGrid:
         if rows.size == n:  # k times one permutation; rows are 0..n-1 in order
             perms += [cols] * k
         elif k % 2:
-            perms.append(_perfect_matching(n, rows, cols))
+            perms.append(_matching(n, rows, cols, counts, k))
             parts.append((rows, cols, counts - (cols == perms[-1][rows]), k - 1))
         else:
             parts += [(rows, cols, half, k // 2) for half in _euler_split(cols, counts)[::-1]]
@@ -269,59 +250,28 @@ def _euler_split(cols: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return halves
 
 
-def _perfect_matching(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Row -> column perfect matching of the distinct arcs (rows, cols),
-    given row-major, by Hopcroft-Karp (1973). Each phase layers the rows
-    by breadth-first search from the free rows up to the first free
-    column, then augments along shortest paths found by an iterative
-    depth-first search, rows and columns in ascending order. The first
-    phase is thus the greedy matching: each row in turn takes its
-    lowest-index free column. A matching exists for regular graphs
-    (Hall/Koenig), so failure is an internal error.
-    """
-    cl, ends = cols.tolist(), np.searchsorted(rows, np.arange(n + 1)).tolist()
-    adj = [cl[i:j] for i, j in zip(ends, ends[1:])]  # the columns of each row
-    owner, match = [-1] * n, [-1] * n  # row of each column, column of each row
-    while True:
-        free = [r for r in range(n) if match[r] == -1]
-        if not free:
-            return np.array(match, dtype=np.int64)
-        layer = [-1] * n  # BFS depth of each row; -1 unreached or dead
-        for r in free:
-            layer[r] = 0
-        queue, last = list(free), None  # last: depth of the rows next to a free column
-        for r in queue:
-            if last is not None and layer[r] > last:
-                break
-            for c in adj[r]:
-                o = owner[c]
-                if o == -1:
-                    last = layer[r]
-                elif layer[o] == -1:
-                    layer[o] = layer[r] + 1
-                    queue.append(o)
-        if last is None:
-            raise RuntimeError("no perfect matching in a regular matrix "
-                               "(internal invariant violated)")
-        nexts = [iter(cs) for cs in adj]
-        for root in free:
-            path = [root]  # rows; path[k] takes the column owned by path[k + 1]
-            while path:
-                r = path[-1]
-                for c in nexts[r]:
-                    o = owner[c]
-                    if o == -1 or (layer[r] < last and layer[o] == layer[r] + 1):
-                        break
-                else:  # dead end: no shortest path through r in this phase
-                    layer[r] = -1
-                    path.pop()
-                    continue
-                if o != -1:
-                    path.append(o)
-                    continue
-                for r in reversed(path):  # flip the path: r takes c, c's owner moves on
-                    owner[c], match[r], c = r, c, match[r]
-                break
+def _matching(n: int, rows: np.ndarray, cols: np.ndarray, counts: np.ndarray,
+              k: int) -> np.ndarray:
+    """Row -> column perfect matching of a k-regular part of odd k, given
+    row-major, by Euler splits alone (Alon 2003). With 2^t the least power
+    of two >= k n and 2^t = alpha k + beta, the counts times alpha plus
+    beta copies of the pairing r -> r, as bad arcs, make a 2^t-regular
+    part; each of t splits keeps the half with fewer bad arcs (the first
+    on a tie), so the beta n < 2^t bad arcs halve to none, and the n arcs
+    left match each row. Counts stay at most 2^t < 2 k n, in int64 range
+    since d n is indexable."""
+    t = (k * n - 1).bit_length()
+    alpha, beta = divmod(1 << t, k)
+    order = np.argsort(np.concatenate([rows, np.arange(n)]), kind="stable")
+    cols = np.concatenate([cols, np.arange(n)])[order]
+    counts = np.concatenate([counts * alpha, np.full(n, beta)])[order]
+    bad = order >= rows.size
+    for _ in range(t):
+        halves = _euler_split(cols, counts)
+        counts = halves[np.argmin(halves[:, bad].sum(axis=1))]
+        keep = counts > 0
+        cols, counts, bad = cols[keep], counts[keep], bad[keep]
+    return cols
 
 
 def verify_kraus(a: ComplexMatrix | MultiGraph | None, grid: KrausGrid,
@@ -352,16 +302,16 @@ def verify_kraus(a: ComplexMatrix | MultiGraph | None, grid: KrausGrid,
     )
 
 
-def assemble_shift(grid: KrausGrid, tol: Tolerance = DEFAULT_TOL) -> ShiftOperator:
-    """Assemble the block matrix S from a grid, refusing grids that
-    violate completeness (the assembly would not be unitary)."""
+def assemble_shift(grid: KrausGrid, tol: Tolerance = DEFAULT_TOL) -> KrausGrid:
+    """The grid, once checked to assemble a unitary S (``grid.matrix``):
+    grids that violate completeness are refused."""
     report = verify_kraus(None, grid, tol)
     if not report.passed:
         raise NonUnitaryError(
             "grid violates completeness relations (column residual "
             f"{report.column_residual:.3e}, row residual {report.row_residual:.3e})",
             max(report.column_residual, report.row_residual))
-    return ShiftOperator(grid)
+    return grid
 
 
 def extract_graph(u: ComplexMatrix, m: int,

@@ -51,6 +51,15 @@ def hypercube_adjacency(bits: int) -> np.ndarray:
     return a
 
 
+def pair_list(z) -> list:
+    return [[float(w.real), float(w.imag)] for w in np.asarray(z).reshape(-1)]
+
+
+def matrix_obj(a) -> dict:
+    """The parsed form of a matrix file holding ``a``."""
+    return {"rows": a.shape[0], "cols": a.shape[1], "entries": pair_list(a)}
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20260826)

@@ -156,7 +156,7 @@ def test_criterion_5_general_coin():
     shift = assemble_shift(cycle_shift_grid(4))
     c = haar_unitary(2, rng)
     u = evolution(shift, CoinSpec.global_coin(c, 4))
-    blocks = shift.grid.blocks
+    blocks = shift.blocks
     for i in range(2):
         for j in range(2):
             expected = sum(c[k, j] * blocks[i][k] for k in range(2))
@@ -176,7 +176,7 @@ def test_criterion_6_column_adjacency():
     assert max_norm(column_adjacency(u, 2, 0) - s * (r.T + l.T)) <= 1e-12
     assert max_norm(column_adjacency(u, 2, 1) - s * (r.T - l.T)) <= 1e-12
     block_sum = KrausGrid.from_matrix(u, 2).block_sum()
-    assert max_norm(block_sum - shift.grid.block_sum()) > 1e-6
+    assert max_norm(block_sum - shift.block_sum()) > 1e-6
     report("6 (column adjacencies)", "Hadamard/C4 fixture")
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary
+from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, matrix_obj
 from qwalk import (
     Arc,
     ProbabilityVector,
@@ -116,7 +116,7 @@ class TestAssembleAndEvolveOp:
         assert is_unitary(fileio.load_matrix(u_path))
 
     def test_global_coin_bytes_match_per_vertex_spec(self, tmp_path):
-        h = fileio.matrix_to_obj(named_coin("hadamard", 2))
+        h = matrix_obj(named_coin("hadamard", 2))
         outs = []
         for kind, matrices in (("global", [h]), ("per_vertex", [h] * 4)):
             spec = tmp_path / f"{kind}.json"
@@ -199,7 +199,7 @@ class TestWalk:
         shift = write_matrix(tmp_path, "s.json", s)
         coin = tmp_path / "coin.json"
         coin.write_text(json.dumps({"m": m, "n": n, "kind": "per_vertex", "matrices": [
-            fileio.matrix_to_obj(haar_unitary(m, rng)) for _ in range(n)]}))
+            matrix_obj(haar_unitary(m, rng)) for _ in range(n)]}))
         amps = rng.normal(size=m * n) + 1j * rng.normal(size=m * n)
         state = tmp_path / "s0.json"
         fileio.save_state(WalkerState(m, n, amps / np.linalg.norm(amps)), state)
@@ -410,14 +410,14 @@ class TestCompile:
         assert is_unitary(fileio.load_matrix(out))
 
 
-I2, Z2, I3 = (fileio.matrix_to_obj(a) for a in (np.eye(2), np.zeros((2, 2)), np.eye(3)))
-NON_SQUARE = fileio.matrix_to_obj(np.ones((2, 3)))
+I2, Z2, I3 = (matrix_obj(a) for a in (np.eye(2), np.zeros((2, 2)), np.eye(3)))
+NON_SQUARE = matrix_obj(np.ones((2, 3)))
 
 
 class TestBadInput:
     @pytest.mark.parametrize("argv, obj, code", [
-        (["extract", "{file}", "--m", "0"], fileio.matrix_to_obj(SWAP), 2),
-        (["extract", "{file}", "--m", "-1"], fileio.matrix_to_obj(SWAP), 2),
+        (["extract", "{file}", "--m", "0"], matrix_obj(SWAP), 2),
+        (["extract", "{file}", "--m", "-1"], matrix_obj(SWAP), 2),
         (["verify", "{file}"], {"m": 2, "n": 2, "blocks": 5}, 1),
         (["verify", "{file}"], {"m": 2, "n": 2, "blocks": [5, 5]}, 1),
         (["decompose", "{file}"], {"rows": 2, "cols": 2, "entries": 5}, 1),
@@ -548,7 +548,7 @@ def test_cli_import_loads_no_process_pool():
 @pytest.mark.parametrize("command, obj", [
     ("decompose", {"rows": 1, "cols": 1, "entries": [[20000, 0]]}),
     ("coin", {"m": 1, "n": 2 ** 42, "kind": "per_vertex",
-              "matrices": [fileio.matrix_to_obj(np.eye(1))]}),
+              "matrices": [matrix_obj(np.eye(1))]}),
     ("coin", {"m": 2 ** 42, "n": 1, "kind": "named", "name": "identity"}),
     ("coin", {"m": 2 ** 62, "n": 1, "kind": "named", "name": "hadamard"}),
     ("coin", {"m": 2, "n": 2 ** 42, "kind": "named", "name": "hadamard"}),
@@ -581,12 +581,13 @@ print(grid.m, report.passed, report.sum_residual, shift.m * shift.n)
     assert proc.stdout.split() == ["3", "True", "0.0", "12000"]
 
 
-def test_graph_decompose_verify_assemble_fit_in_1_5_gb_at_n_100000():
+@pytest.mark.parametrize("d", [3, 4])  # odd degree takes matchings, even only splits
+def test_graph_decompose_verify_assemble_fit_in_1_5_gb_at_n_100000(d):
     # A dense adjacency of this graph would be (10^5)^2 float64 entries, 80 GB.
-    proc = run_limited(LIMIT_ADDRESS_SPACE + """
+    proc = run_limited(LIMIT_ADDRESS_SPACE + f"""
 import numpy as np
 from qwalk import MultiGraph, assemble_shift, decompose_permutations, verify_kraus
-n, d = 10 ** 5, 4
+n, d = 10 ** 5, {d}
 rng = np.random.default_rng(n)
 head = np.concatenate([rng.permutation(n) for _ in range(d)])
 g = MultiGraph.from_columns(n, np.tile(np.arange(n), d), head, np.ones(d * n), np.full(d * n, -1))
@@ -596,7 +597,7 @@ shift = assemble_shift(grid)
 print(grid.m, report.passed, report.sum_residual, shift.m * shift.n)
 """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["4", "True", "0.0", "400000"]
+    assert proc.stdout.split() == [str(d), "True", "0.0", str(d * 10 ** 5)]
 
 
 def test_decompose_verify_roundtrip_always_passes(tmp_path, rng):
@@ -616,11 +617,11 @@ class TestTolerance:
     def files(self, tmp_path):
         h6 = np.round(named_coin("hadamard", 2), 6)  # residual 6.2e-7
         inputs = {
-            "eye4": fileio.matrix_to_obj(np.eye(4)),
-            "one": fileio.matrix_to_obj(np.ones((1, 1))),
-            "j2": fileio.matrix_to_obj(np.ones((2, 2))),
+            "eye4": matrix_obj(np.eye(4)),
+            "one": matrix_obj(np.ones((1, 1))),
+            "j2": matrix_obj(np.ones((2, 2))),
             "coin": {"m": 2, "n": 2, "kind": "global",
-                     "matrices": [fileio.matrix_to_obj(h6)]},
+                     "matrices": [matrix_obj(h6)]},
             "state": {"m": 1, "n": 4,
                       "amplitudes": [[np.sqrt((1 + 1e-7) / 4), 0]] * 4},
             "state_1e-9": {"m": 2, "n": 2, "amplitudes": [[np.sqrt(1 + 5e-10), 0]]
@@ -656,10 +657,10 @@ class TestTolerance:
         assert main(argv + ["--tol", "1e-5"]) == 0
 
 
-H_OBJ = fileio.matrix_to_obj(named_coin("hadamard", 2))
+H_OBJ = matrix_obj(named_coin("hadamard", 2))
 FUZZ_INPUTS = {
-    "c4": fileio.matrix_to_obj(cycle_adjacency(4)),
-    "shift": fileio.matrix_to_obj(assemble_shift(cycle_shift_grid(4)).matrix),
+    "c4": matrix_obj(cycle_adjacency(4)),
+    "shift": matrix_obj(assemble_shift(cycle_shift_grid(4)).matrix),
     "grid": {"m": 2, "n": 2, "blocks": [[I2, Z2], [Z2, I2]]},
     "coin": {"m": 2, "n": 4, "kind": "named", "name": "hadamard"},
     "pv_coin": {"m": 2, "n": 4, "kind": "per_vertex", "matrices": [H_OBJ, H_OBJ]},

@@ -125,7 +125,7 @@ class TestEvolution:
         shift = assemble_shift(cycle_shift_grid(4))
         c = haar_unitary(2, rng)
         u = evolution(shift, CoinSpec.global_coin(c, 4))
-        blocks = shift.grid.blocks
+        blocks = shift.blocks
         for i in range(2):
             for j in range(2):
                 expected = sum(c[k, j] * blocks[i][k] for k in range(2))
@@ -162,7 +162,7 @@ class TestColumnAdjacency:
 
     def test_shift_columns_match_block_sums(self, c4_shift):
         for j in range(2):
-            expected = sum(c4_shift.grid.blocks[i][j] for i in range(2))
+            expected = sum(c4_shift.blocks[i][j] for i in range(2))
             assert np.array_equal(
                 column_adjacency(c4_shift.matrix, 2, j), expected)
 
@@ -176,7 +176,7 @@ def test_coin_breaks_adjacency_recovery(c4_shift):
     from qwalk import KrausGrid
 
     u = evolution(c4_shift, CoinSpec.global_coin(H, 4))
-    a_t = c4_shift.grid.block_sum()
+    a_t = c4_shift.block_sum()
     u_sum = KrausGrid.from_matrix(u, 2).block_sum()
     assert max_norm(u_sum - a_t) > 0.1
 

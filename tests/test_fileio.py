@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_shift_grid, haar_unitary
+from conftest import cycle_shift_grid, haar_unitary, matrix_obj, pair_list
 from qwalk import (
     Arc,
     CoinSpec,
@@ -197,17 +197,9 @@ def saved_bytes(save, value, tmp_path) -> bytes:
     return path.read_bytes()
 
 
-def pair_list(z) -> list:
-    return [[float(w.real), float(w.imag)] for w in np.asarray(z).reshape(-1)]
-
-
 def arc_records(arcs) -> list:
     return [{"tail": a.tail, "head": a.head, "w": [a.weight.real, a.weight.imag],
              "coin": a.coin_tag} for a in arcs]
-
-
-def matrix_obj(a) -> dict:
-    return {"rows": a.shape[0], "cols": a.shape[1], "entries": pair_list(a)}
 
 
 # Exact zero pairs of each sign, half-zero pairs and finite pairs.
@@ -258,7 +250,6 @@ class TestWriterBytes:
         tmp = tmp_path_factory.mktemp("m")
         got = saved_bytes(fileio.save_matrix, a, tmp)
         assert got == reference_bytes(matrix_obj(a))
-        assert fileio.matrix_to_obj(a) == matrix_obj(a)
         assert_reads_back(a, tmp / "out.json")
         (tmp / "dumps.json").write_text(json.dumps(matrix_obj(a)))
         assert_reads_back(a, tmp / "dumps.json")
@@ -420,9 +411,11 @@ class TestMatrixReader:
     ], ids=["scalar-item", "three-element-pair", "string-item", "string-number",
             "null-item", "null-number", "nested-pair", "ragged-pairs", "int-overflow"])
     def test_rejects_what_the_pair_check_rejects(self, tmp_path, entries):
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(
+            {"n": 2, "undirected": [{"u": 0, "v": 1, "w": pair} for pair in entries]}))
         with pytest.raises(FileFormatError):
-            for pair in entries:
-                fileio._pair_to_complex(pair)
+            fileio.load_graph(path)
         with pytest.raises(FileFormatError):
             fileio.matrix_from_obj({"rows": 1, "cols": 2, "entries": entries})
 

@@ -28,7 +28,7 @@ from qwalk import (
     verify_kraus,
 )
 from qwalk import shift as shift_module
-from qwalk.shift import _perfect_matching
+from qwalk.shift import _matching
 
 SWAP = np.array([[1, 0, 0, 0],
                  [0, 0, 1, 0],
@@ -134,25 +134,16 @@ class TestPerfectMatching:
         return (sorted(match.tolist()) == list(range(n))
                 and bool(np.all(counts[np.arange(n), match] > 0)))
 
-    def test_augments_past_a_greedy_seed_that_is_not_maximum(self):
-        # Row r < n-1 may take column r or r+1, row n-1 only column 0. The
-        # greedy seed matches r -> r, leaving row n-1 free; the only
-        # augmenting path runs through all n rows.
-        n = 2000
-        counts = np.zeros((n, n), dtype=np.int64)
-        counts[np.arange(n - 1), np.arange(n - 1)] = 1
-        counts[np.arange(n - 1), np.arange(1, n)] = 1
-        counts[n - 1, 0] = 1
-        assert _perfect_matching(n, *np.nonzero(counts)).tolist() == [*range(1, n), 0]
-
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.integers(1, 5))
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60), st.sampled_from([3, 5, 7]))
     @settings(max_examples=40, deadline=None)
-    def test_valid_and_the_same_on_every_run(self, seed, n, d):
+    def test_valid_and_the_same_on_every_run(self, seed, n, k):
         rng = np.random.default_rng(seed)
-        counts = sum(np.eye(n, dtype=np.int64)[rng.permutation(n)] for _ in range(d))
-        match = _perfect_matching(n, *np.nonzero(counts))
+        counts = sum(np.eye(n, dtype=np.int64)[rng.permutation(n)] for _ in range(k))
+        rows, cols = np.nonzero(counts)
+        match = _matching(n, rows, cols, counts[rows, cols], k)
         assert self.is_perfect(counts, match)
-        assert np.array_equal(_perfect_matching(n, *np.nonzero(counts.copy())), match)
+        again = _matching(n, rows.copy(), cols.copy(), counts[rows, cols].copy(), k)
+        assert np.array_equal(again, match)
 
 
 class TestVerifyKraus:
@@ -453,33 +444,33 @@ def test_euler_decomposition_property(graph):
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    """Counts of the calls decompose_permutations makes to the matcher
-    and to the Euler split."""
-    counts = {"_perfect_matching": 0, "_euler_split": 0}
-    for name in counts:
-        def counted(*args, _name=name, _real=getattr(shift_module, name)):
-            counts[_name] += 1
-            return _real(*args)
-        monkeypatch.setattr(shift_module, name, counted)
-    return counts
+def splits(monkeypatch):
+    """The arguments of each call decompose_permutations makes to the Euler split."""
+    calls, real = [], shift_module._euler_split
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(shift_module, "_euler_split", counted)
+    return calls
 
 
-@pytest.mark.parametrize("a, matchings, splits", [
-    (cycle_adjacency(7), 0, 1),
-    (hypercube_adjacency(4), 0, 3),
-    (4 * np.ones((4, 4)), 0, 1 + 2 + 4 + 8),  # degrees 16, 8, 4 and 2 split
-    (hypercube_adjacency(3), 1, 1),  # odd degree 3: one matching, then a split of the rest
+@pytest.mark.parametrize("a, count", [
+    (cycle_adjacency(7), 1),
+    (hypercube_adjacency(4), 3),
+    (4 * np.ones((4, 4)), 1 + 2 + 4 + 8),  # degrees 16, 8, 4 and 2 split
+    # odd degree 3 on 8 rows: t = 5 splits to a matching (2^5 >= 24), then the rest
+    (hypercube_adjacency(3), 5 + 1),
 ], ids=["C_7", "Q_4", "4J_4", "Q_3"])
-def test_matchings_only_at_odd_degree(calls, a, matchings, splits):
+def test_matchings_only_at_odd_degree(splits, a, count):
     grid = decompose_permutations(a)
     assert np.array_equal(grid.block_sum(), a.T)
-    assert calls == {"_perfect_matching": matchings, "_euler_split": splits}
+    assert len(splits) == count
 
 
-def test_one_permutation_of_high_multiplicity_is_not_split(calls):
+def test_one_permutation_of_high_multiplicity_is_not_split(splits):
     grid = decompose_permutations(np.array([[20000.0]]))
-    assert calls == {"_perfect_matching": 0, "_euler_split": 0}
+    assert not splits
     assert grid.m == 20000
     assert np.array_equal(grid.monomial()[0], np.arange(20000))  # identity blocks
 

@@ -5,8 +5,6 @@ from .linalg import (
     Tolerance,
     DEFAULT_TOL,
     as_matrix,
-    kron,
-    matpow,
     max_norm,
     is_unitary,
     unitarity_residual,

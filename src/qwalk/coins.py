@@ -1,9 +1,8 @@
 """Coin operators and the composed one-step evolution operator.
 
-A coin acts on the m-dimensional coin register: either one global unitary
-(lifted as C (x) I_n) or a different unitary per vertex, assembled so that
-vertex k is steered by its own coin. Unitarity is validated when the spec
-is constructed, not at use.
+A coin acts on the m-dimensional coin register: one global unitary, lifted
+as C (x) I_n, or a stack of n, entry k steering vertex k. Unitarity is
+checked when the spec is constructed, not at use.
 """
 
 from dataclasses import InitVar, dataclass
@@ -40,37 +39,40 @@ NAMED_COINS = ("identity", "hadamard", "grover", "dft")
 class CoinSpec:
     """Coin choice for an m-dimensional coin register over n vertices.
 
-    ``matrices`` holds a single m x m unitary for a global coin, or one
-    per vertex otherwise, each unitary within ``tol``. Use the
-    classmethods rather than the raw constructor.
+    ``matrices`` is one read-only (k, m, m) stack of unitaries, each within
+    ``tol``: k = 1 for a global coin, and k = n per vertex otherwise, entry
+    v steering vertex v. Use the classmethods rather than the raw
+    constructor.
     """
 
     m: int
     n: int
-    matrices: tuple[ComplexMatrix, ...]
+    matrices: ComplexMatrix
     per_vertex: bool
     tol: InitVar[Tolerance] = DEFAULT_TOL
 
     def __post_init__(self, tol):
         if self.m < 1 or self.n < 1:
             raise PreconditionError("coin dimensions must be positive")
-        mats = tuple(as_matrix(c) for c in self.matrices)
+        mats = np.array(self.matrices, dtype=np.complex128)  # a copy the caller cannot change
+        if not np.isfinite(mats).all():
+            raise ValueError("matrix contains NaN or Inf entries")
         expected = self.n if self.per_vertex else 1
         if len(mats) != expected:
             raise PreconditionError(
                 f"expected {expected} coin matrices, got {len(mats)}")
-        for c in mats:
-            if c.shape != (self.m, self.m):
-                raise PreconditionError(
-                    f"coin must be {self.m}x{self.m}, got {c.shape}")
-            require_unitary(c, tol, "coin")
+        if mats.shape[1:] != (self.m, self.m):
+            raise PreconditionError(
+                f"coin must be {self.m}x{self.m}, got {mats.shape[1:]}")
+        _require_unitary_stack(mats, 1.0, tol, "coin")
+        mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
     @classmethod
     def global_coin(cls, c: ComplexMatrix, n: int,
                     tol: Tolerance = DEFAULT_TOL) -> "CoinSpec":
         c = as_matrix(c)
-        return cls(c.shape[0], n, (c,), False, tol)
+        return cls(c.shape[0], n, c[None], False, tol)
 
     @classmethod
     def per_vertex_coins(cls, coins, m: int, n: int,
@@ -83,8 +85,8 @@ class CoinSpec:
         if m < 1 or any(c.shape != (m, m) for c in coins):  # before np.eye(m)
             raise PreconditionError(f"per-vertex coins must be {m}x{m} with m >= 1")
         _require_indexable(n * m * m, "a coin array")
-        coins += [np.eye(m, dtype=np.complex128)] * (n - len(coins))
-        return cls(m, n, tuple(coins), True, tol)
+        pad = np.broadcast_to(np.eye(m, dtype=np.complex128), (n - len(coins), m, m))
+        return cls(m, n, np.concatenate([np.reshape(coins, (-1, m, m)), pad]), True, tol)
 
 
 def named_coin(name: str, m: int) -> ComplexMatrix:
@@ -111,12 +113,12 @@ def named_coin(name: str, m: int) -> ComplexMatrix:
     raise PreconditionError(f"unknown coin name {name!r} (choose from {NAMED_COINS})")
 
 
-def _vertex_coins(spec: CoinSpec) -> np.ndarray:
-    """The (n, m, m) stack of coins, entry k steering vertex k."""
-    if spec.per_vertex:
-        return np.stack(spec.matrices)
-    # a copy: the caller may still hold, and change, the spec's matrix
-    return np.broadcast_to(spec.matrices[0].copy(), (spec.n, spec.m, spec.m))
+def _require_unitary_stack(coins, weights, tol: Tolerance, what: str) -> None:
+    """Raise NonUnitaryError past ``tol`` on max over k of |C_k† diag(w_k) C_k - I|
+    for the (k, m, m) stack C: with weights 1, its unitarity residual."""
+    r = max_norm(coins.conj().transpose(0, 2, 1) @ (weights * coins) - np.eye(coins.shape[1]))
+    if r > tol.abs_eps:
+        raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
 
 
 def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
@@ -128,7 +130,7 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
     _require_indexable((m * n) ** 2, "a coin array")
     full = np.zeros((m, n, m, n), dtype=np.complex128)
     k = np.arange(n)
-    full[:, k, :, k] = _vertex_coins(spec)
+    full[:, k, :, k] = np.broadcast_to(spec.matrices, (n, m, m))
     return full.reshape(m * n, m * n)
 
 
@@ -157,7 +159,7 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     if shape != (m * n, m * n):
         raise PreconditionError(
             f"shift {shape} and coin {(m * n, m * n)} dimensions disagree")
-    coins = _vertex_coins(spec)
+    coins = np.broadcast_to(spec.matrices, (n, m, m))
     if mono is None:
         s = shift.matrix if isinstance(shift, KrausGrid) else shift
         u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins).reshape(m * n, m * n)
@@ -166,14 +168,12 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     perm, phase = mono
     i, v = np.divmod(perm, n)
     u = np.zeros((m * n, m, n), dtype=np.complex128)
-    # einsum, not *, so that each entry is rounded as the einsum below rounds it
+    # einsum, not *, so that each entry is rounded as the einsum above rounds it
     u[np.arange(m * n), :, v] = np.einsum("r,rj->rj", phase, coins[v, i])
     weights = np.empty(m * n)
     weights[perm] = np.abs(phase) ** 2  # D, the diagonal of S†S
     weights = weights.reshape(m, n).T[:, :, None]  # (n, m, 1): D of vertex k, coin i
-    r = max_norm(coins.conj().transpose(0, 2, 1) @ (weights * coins) - np.eye(m))
-    if r > tol.abs_eps:
-        raise NonUnitaryError(f"evolution operator is not unitary (residual {r:.3e})", r)
+    _require_unitary_stack(coins, weights, tol, "evolution operator")
     u = u.reshape(m * n, m * n)
     u.setflags(write=False)  # its views, _Factored among them, are read-only too
     u = u.view(_Factored)

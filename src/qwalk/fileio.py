@@ -339,7 +339,7 @@ def load_coin_spec(path, tol: Tolerance = DEFAULT_TOL) -> CoinSpec:
     if kind == "global":
         if len(mats) != 1:
             raise FileFormatError("global coin takes exactly one matrix")
-        return CoinSpec.global_coin(mats[0], n, tol)
+        return CoinSpec(m, n, mats, False, tol)
     if kind == "per_vertex":
         return CoinSpec.per_vertex_coins(mats, m, n, tol)
     raise FileFormatError(f"unknown coin kind {kind!r}")

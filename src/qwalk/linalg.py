@@ -1,10 +1,9 @@
-"""Dense complex-matrix kernel: powers, Kronecker products and
-tolerance-aware structural predicates.
+"""Dense complex-matrix kernel: tolerance-aware structural predicates.
 
 All matrices are numpy arrays of dtype complex128, row-major, and treated
 as immutable by every function in this package. The Kronecker convention
 is fixed repo-wide: the first factor is the slow (coin) axis, so a
-coin-register operator C lifts to ``kron(C, eye(n))``.
+coin-register operator C lifts to ``np.kron(C, np.eye(n))``.
 """
 
 from dataclasses import dataclass
@@ -21,8 +20,6 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
     "as_matrix",
-    "kron",
-    "matpow",
     "max_norm",
     "monomial",
     "unitarity_residual",
@@ -60,19 +57,6 @@ def _as_matrix_keep_real(a) -> NDArray[np.float64] | ComplexMatrix:
     if not np.isfinite(m).all():
         raise ValueError("matrix contains NaN or Inf entries")
     return m
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Kronecker product with ``a`` on the slow axis."""
-    return np.kron(as_matrix(a), as_matrix(b))
-
-
-def matpow(a: ComplexMatrix, t: int) -> ComplexMatrix:
-    """t-fold matrix power; t = 0 yields the identity."""
-    a = _require_square(a)
-    if t < 0:
-        raise ValueError("exponent must be nonnegative")
-    return np.linalg.matrix_power(a, t)
 
 
 def max_norm(a) -> float:

@@ -227,17 +227,23 @@ class TestWalk:
     def test_coin_walk_checks_each_operator_once(self, setup, tmp_path, monkeypatch):
         import qwalk.coins
         import qwalk.linalg
-        dense, certified = [], []
+        dense, stacks, certified = [], [], []
         residual, detect = qwalk.linalg.unitarity_residual, qwalk.coins.monomial
+        check = qwalk.coins._require_unitary_stack
         monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
                             lambda a: dense.append(a.shape) or residual(a))
+        monkeypatch.setattr(qwalk.coins, "_require_unitary_stack",
+                            lambda c, w, tol, what: stacks.append((c.shape, what))
+                            or check(c, w, tol, what))
         monkeypatch.setattr(qwalk.coins, "monomial",
                             lambda s: certified.append(s.shape) or detect(s))
         op, state, coin = setup
         assert main(["walk", op, state, "--coin", coin, "--steps", "2",
                      "--out", str(tmp_path / "w.csv")]) == 0
-        assert dense == [(2, 2), (8, 8)]  # coin, S
-        assert certified == [(8, 8)]  # S as (perm, phase): U is built and certified from S and C
+        assert dense == [(8, 8)]  # S
+        # the coin, then U certified from S as (perm, phase) and the coin stack
+        assert stacks == [((1, 2, 2), "coin"), ((4, 2, 2), "evolution operator")]
+        assert certified == [(8, 8)]
 
 
 class TestClassical:
@@ -444,6 +450,8 @@ class TestBadInput:
         (["coin", "{file}"], {"m": -1, "n": 4, "kind": "per_vertex", "matrices": [I2]}, 2),
         (["coin", "{file}"],
          {"m": 10 ** 20, "n": 4, "kind": "per_vertex", "matrices": [I2]}, 1),
+        (["coin", "{file}"], {"m": 3, "n": 3, "kind": "global", "matrices": [I3, I2]}, 1),
+        (["coin", "{file}"], {"m": 2, "n": 3, "kind": "global", "matrices": [I3]}, 2),
         (["extract", "{file}", "--m", "1"], {"rows": True, "cols": 1, "entries": [[1, 0]]}, 1),
         (["walk", "{c4}", "{file}", "--steps", "1"],
          {"m": True, "n": 4, "amplitudes": [[1, 0]] + [[0, 0]] * 3}, 1),
@@ -467,6 +475,7 @@ class TestBadInput:
             "grid-m0", "matrix-int-overflow", "state-int-overflow", "probs-nested",
             "probs-numeric-strings", "walk-non-square", "extract-non-square",
             "evolve-op-non-square", "coin-n-bool", "coin-m-neg", "coin-m-huge",
+            "coin-global-two-matrices", "coin-global-m-mismatch",
             "matrix-rows-bool", "state-m-bool", "grid-m-bool", "decompose-huge-entry",
             "matrix-not-utf8", "probs-not-utf8", "matrix-int-too-long", "probs-int-too-long",
             "matrix-nested-too-deep", "probs-nested-too-deep"])

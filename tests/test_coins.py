@@ -15,7 +15,6 @@ from qwalk import (
     decompose_permutations,
     evolution,
     is_unitary,
-    kron,
     max_norm,
     named_coin,
     unitarity_residual,
@@ -75,7 +74,7 @@ class TestCoinMatrix:
         for m, n in [(2, 2), (3, 3), (4, 5)]:
             c = haar_unitary(m, rng)
             per = coin_matrix(CoinSpec.per_vertex_coins([c] * n, m, n))
-            assert np.array_equal(per, kron(c, np.eye(n)))
+            assert np.array_equal(per, np.kron(c, np.eye(n)))
 
     def test_per_vertex_padding_with_identity(self):
         spec = CoinSpec.per_vertex_coins([H], 2, 3)
@@ -104,6 +103,50 @@ class TestCoinMatrix:
     def test_per_vertex_is_unitary(self, rng):
         coins = [haar_unitary(3, rng) for _ in range(4)]
         assert is_unitary(coin_matrix(CoinSpec.per_vertex_coins(coins, 3, 4)))
+
+
+class TestCoinStack:
+    def test_padding_checks_the_stack_once(self, monkeypatch):
+        import qwalk.coins
+        import qwalk.linalg
+        calls = []
+
+        def spy(module, name):
+            f = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a: calls.append(name) or f(*a))
+
+        spy(qwalk.linalg, "unitarity_residual")
+        spy(qwalk.linalg, "as_matrix")
+        spy(qwalk.coins, "as_matrix")
+        grover = named_coin("grover", 3)
+        n = 10 ** 5
+        spec = CoinSpec.per_vertex_coins([grover], 3, n)
+        assert calls == ["as_matrix"]  # the given coin, never a padded vertex
+        mats = spec.matrices
+        assert isinstance(mats, np.ndarray) and mats.dtype == np.complex128
+        assert mats.shape == (n, 3, 3) and len(mats) == n
+        assert not mats.flags.writeable
+        assert np.array_equal(mats[0], grover)
+        assert np.array_equal(mats[1:], np.broadcast_to(np.eye(3), (n - 1, 3, 3)))
+
+    def test_global_coin_is_a_read_only_copy(self):
+        c = H.copy()
+        spec = CoinSpec.global_coin(c, 5)
+        c[0, 0] = 7
+        assert spec.matrices.shape == (1, 2, 2)
+        assert not spec.matrices.flags.writeable
+        assert np.array_equal(spec.matrices[0], H)
+
+    def test_raw_constructor_checks_the_stack(self):
+        assert CoinSpec(2, 3, [H], False).matrices.shape == (1, 2, 2)
+        with pytest.raises(PreconditionError, match="expected 3 coin matrices"):
+            CoinSpec(2, 3, [H], True)
+        with pytest.raises(PreconditionError, match="coin must be 2x2"):
+            CoinSpec(2, 3, [np.eye(3)], False)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            CoinSpec(2, 3, [[[np.nan, 0], [0, 1]]], False)
+        with pytest.raises(NonUnitaryError, match="coin is not unitary"):
+            CoinSpec(2, 2, [H, 2 * H], True)
 
 
 class TestEvolution:

@@ -8,9 +8,9 @@ from qwalk import (
     PreconditionError,
     Tolerance,
     as_matrix,
+    CoinSpec,
+    coin_matrix,
     is_unitary,
-    kron,
-    matpow,
     max_norm,
     unitarity_residual,
 )
@@ -24,29 +24,33 @@ SWAP = np.array([[1, 0, 0, 0],
 
 
 class TestKron:
+    """The Kronecker convention, as ``coin_matrix`` lifts a global coin C
+    to C (x) I_n: the coin is the slow axis."""
+
     def test_identity(self):
-        assert np.array_equal(kron(np.eye(2), np.eye(2)), np.eye(4))
+        assert np.array_equal(coin_matrix(CoinSpec.global_coin(np.eye(2), 2)), np.eye(4))
 
     def test_swap_halves(self):
         x = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-        k = kron(x, np.eye(2))
+        k = coin_matrix(CoinSpec.global_coin(x, 2))
         expected = np.zeros((4, 4))
         expected[0, 2] = expected[1, 3] = expected[2, 0] = expected[3, 1] = 1
         assert np.array_equal(k, expected)
 
     def test_coin_is_slow_axis(self):
-        # kron(H, I_2) e0 = (e0 + e2)/sqrt(2)
+        # (H (x) I_2) e0 = (e0 + e2)/sqrt(2)
         e0 = np.zeros(4)
         e0[0] = 1
-        out = kron(H, np.eye(2)) @ e0
+        out = coin_matrix(CoinSpec.global_coin(H, 2)) @ e0
         expected = np.zeros(4, dtype=np.complex128)
         expected[0] = expected[2] = 1 / np.sqrt(2)
         assert max_norm(out - expected) < 1e-15
 
     def test_dimensions(self):
-        a = np.ones((2, 3))
-        b = np.ones((4, 5))
-        assert kron(a, b).shape == (8, 15)
+        c = np.exp(2j * np.pi * np.outer(range(3), range(3)) / 3) / np.sqrt(3)
+        k = coin_matrix(CoinSpec.global_coin(c, 5))
+        assert k.shape == (15, 15)
+        assert np.array_equal(k, np.kron(c, np.eye(5)))
 
 
 class TestIsUnitary:
@@ -98,19 +102,6 @@ class TestBlockPartition:
         for m in (0, -1, 4):
             with pytest.raises(PreconditionError):
                 KrausGrid.from_matrix(np.eye(6), m)
-
-
-class TestMatpow:
-    def test_zero_power_is_identity(self, rng):
-        a = rng.normal(size=(3, 3))
-        assert np.array_equal(matpow(a, 0), np.eye(3))
-
-    def test_cycle_period(self):
-        from conftest import right_shift
-        assert np.array_equal(matpow(right_shift(4), 4), np.eye(4))
-
-    def test_hadamard_squared(self):
-        assert max_norm(matpow(H, 2) - np.eye(2)) < 1e-15
 
 
 @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 32 - 1))

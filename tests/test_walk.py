@@ -25,7 +25,6 @@ from qwalk import (
     evolution,
     evolve,
     is_unitary,
-    matpow,
     max_norm,
     measure_position,
     named_coin,
@@ -143,7 +142,7 @@ class TestEvolve:
         u = evolution(c4_shift, CoinSpec.global_coin(named_coin("hadamard", 2), 4))
         s0 = basis_state(2, 4, 0, 0)
         out = evolve(u, s0, 10)
-        oracle = matpow(u, 10) @ s0.amplitudes
+        oracle = np.linalg.matrix_power(u, 10) @ s0.amplitudes
         assert max_norm(out.amplitudes - oracle) <= 1e-10
 
     def test_tolerance_accepted_operator_walks_on(self, rng):
@@ -433,7 +432,7 @@ class TestFactoredOperator:
         lambda u: u.T,
         lambda u: u * 1,
         np.array,
-        lambda u: matpow(u, 2),
+        lambda u: np.linalg.matrix_power(u, 2),
         lambda u: pickle.loads(pickle.dumps(u)),
     ], ids=["copy", "slice", "transpose", "ufunc", "array", "matpow", "pickle"])
     def test_derived_arrays_walk_densely(self, u, rng, derive):

@@ -46,10 +46,9 @@ def main() -> None:
     u = evolution(shift, CoinSpec.global_coin(named_coin("hadamard", 2), args.n))
     state = basis_state(2, args.n, 0, args.start)
 
-    quantum_rows = []
+    quantum = []
     for t in range(args.steps + 1):
-        dist = measure_position(state)
-        quantum_rows.extend((t, k, float(dist.probs[k])) for k in range(args.n))
+        quantum.append((t, measure_position(state).probs))
         state = evolve(u, state, 1)
 
     adjacency = np.zeros((args.n, args.n))
@@ -57,16 +56,14 @@ def main() -> None:
         adjacency[i, (i + 1) % args.n] = adjacency[i, (i - 1) % args.n] = 1
     p0 = np.zeros(args.n)
     p0[args.start] = 1.0
-    classical_rows = []
-    for t, dist in enumerate(
-            classical_trajectory(adjacency, ProbabilityVector(p0), args.steps)):
-        classical_rows.extend((t, k, float(dist.probs[k])) for k in range(args.n))
+    classical = [(t, dist.probs) for t, dist in enumerate(
+        classical_trajectory(adjacency, ProbabilityVector(p0), args.steps))]
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     q_path = args.out_dir / f"quantum_c{args.n}.csv"
     c_path = args.out_dir / f"classical_c{args.n}.csv"
-    write_distribution_csv(quantum_rows, q_path)
-    write_distribution_csv(classical_rows, c_path)
+    write_distribution_csv(quantum, q_path)
+    write_distribution_csv(classical, c_path)
     print(f"wrote {q_path} and {c_path}")
 
 

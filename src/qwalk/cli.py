@@ -108,14 +108,13 @@ def cmd_walk(args) -> int:
         raise PreconditionError(
             f"operator dimension {operator.shape[0]} does not match state "
             f"dimension {state.m * state.n}")
-    rows = []
+    dists = []
     for t in range(args.steps + 1):
         if t > 0:
             state = step(operator, state)
         if args.trajectory or t == args.steps:
-            dist = measure_position(state)
-            rows.extend((t, k, p) for k, p in enumerate(dist.probs.tolist()))
-    fileio.write_distribution_csv(rows, args.out)
+            dists.append((t, measure_position(state).probs))
+    fileio.write_distribution_csv(dists, args.out)
     total = float(np.sum(np.abs(state.amplitudes) ** 2))
     print(f"total probability = {fileio.fmt_float(total)}")
     return EXIT_OK
@@ -124,11 +123,11 @@ def cmd_walk(args) -> int:
 def cmd_classical(args) -> int:
     a = fileio.load_matrix(args.adjacency)
     p0 = fileio.load_probability_vector(args.init, _tol(args))
-    rows = []
+    dists = []
     for t, dist in enumerate(classical_trajectory(a, p0, args.steps)):
         if args.trajectory or t == args.steps:
-            rows.extend((t, k, p) for k, p in enumerate(dist.probs.tolist()))
-    fileio.write_distribution_csv(rows, args.out)
+            dists.append((t, dist.probs))
+    fileio.write_distribution_csv(dists, args.out)
     print(f"total probability = {fileio.fmt_float(float(dist.probs.sum()))}")
     return EXIT_OK
 

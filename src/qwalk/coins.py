@@ -35,7 +35,7 @@ __all__ = [
 NAMED_COINS = ("identity", "hadamard", "grover", "dft")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CoinSpec:
     """Coin choice for an m-dimensional coin register over n vertices.
 

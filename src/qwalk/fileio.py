@@ -6,13 +6,16 @@ json writes them (the shortest repr); floats in CSV output use
 17-significant-digit formatting. Identical inputs produce byte-identical
 files on every platform.
 
-Matrix files are read at about the cost of their nonzero entries: exact
-zero pairs laid out as qwalk writes them, or as json.dumps' default
-layout does, are collapsed before json parses the text.
+Matrix files are read and written at about the cost of their nonzero
+entries. On reading, exact zero pairs laid out as qwalk writes them, or
+as json.dumps' default layout does, are collapsed before json parses
+the text; on writing, every +0.0 is the literal "0.0" and only the other
+numbers go through json. The distribution CSV formats each step's
+column in one call.
 """
 
 import json
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 from operator import is_not
 
 import numpy as np
@@ -60,8 +63,9 @@ def _load_json(path, parse=json.loads):
 # plus a newline. ``obj`` is a skeleton of dicts, lists and scalars,
 # rendered piece by piece; its bulk values (complex arrays, probabilities,
 # arcs) are ``_records`` callables of the nesting level, which render
-# CHUNK records per piece from one json.dumps per column of numbers, so
-# no Python call is made per number and the whole text is never held.
+# CHUNK records per piece from one json.dumps per column of numbers
+# (_column_texts), so no Python call is made per number and the whole
+# text is never held.
 
 CHUNK = 4096
 
@@ -100,6 +104,22 @@ def _scalar_texts(values: list) -> list[str]:
     return json.dumps(values)[1:-1].split(", ")
 
 
+def _column_texts(column: np.ndarray) -> list[str]:
+    """json's text of each value of a 1-D array (ints, floats, or objects
+    that are ints or None). A float64 +0.0, the one float whose bits are
+    all zero, is "0.0" without json, so a mostly-zero column costs about
+    as much as its other values; those, -0.0 among them, go through
+    _scalar_texts."""
+    if column.dtype == np.float64:
+        kept = np.flatnonzero(column.view(np.uint64))
+        if kept.size < column.size:
+            texts = ["0.0"] * column.size
+            for k, text in zip(kept.tolist(), _scalar_texts(column[kept].tolist())):
+                texts[k] = text
+            return texts
+    return _scalar_texts(column.tolist())
+
+
 _FIELD = "\0"  # marks a template field; json writes it as "\u0000"
 
 
@@ -111,7 +131,7 @@ def _template(skeleton, level: int) -> list[str]:
 
 def _records(skeleton, count: int, columns):
     """Bulk value: a list of ``count`` records laid out as ``skeleton``,
-    whose _FIELD leaves take, in order, the values of the lists that
+    whose _FIELD leaves take, in order, the values of the 1-D arrays that
     ``columns(i, j)`` returns for records i..j-1."""
     def render(level):
         if not count:
@@ -127,7 +147,7 @@ def _records(skeleton, count: int, columns):
         pattern *= CHUNK
         yield "["
         for i in range(0, count, CHUNK):
-            texts = list(map(_scalar_texts, columns(i, i + CHUNK)))
+            texts = list(map(_column_texts, columns(i, i + CHUNK)))
             out = pattern[:2 * fields * len(texts[0])]
             out[0] = (sep if i else sep[1:]) + pieces[0]
             for f, column in enumerate(texts):
@@ -141,7 +161,7 @@ def _pairs(z):
     """Bulk value: a complex array as a list of [re, im] pairs."""
     z = np.asarray(z, dtype=np.complex128).reshape(-1)
     return _records([_FIELD, _FIELD], z.size,
-                    lambda i, j: (z.real[i:j].tolist(), z.imag[i:j].tolist()))
+                    lambda i, j: (z.real[i:j], z.imag[i:j]))
 
 
 _ARC = {"tail": _FIELD, "head": _FIELD, "w": [_FIELD, _FIELD], "coin": _FIELD}
@@ -290,8 +310,7 @@ def save_graph(g: MultiGraph, path) -> None:
     obj = {
         "n": g.n,
         "arcs": _records(_ARC, g.tail.size, lambda i, j: (
-            g.tail[i:j].tolist(), g.head[i:j].tolist(), g.weight.real[i:j].tolist(),
-            g.weight.imag[i:j].tolist(), coin[i:j].tolist())),
+            g.tail[i:j], g.head[i:j], g.weight.real[i:j], g.weight.imag[i:j], coin[i:j])),
         "undirected": [{"u": e.u, "v": e.v, "w": [float(e.weight.real), float(e.weight.imag)]}
                        for e in g.undirected],
         "names": list(g.names) if g.names is not None else None,
@@ -386,15 +405,22 @@ def load_probability_vector(path, tol: Tolerance = DEFAULT_TOL) -> ProbabilityVe
 
 
 def save_probability_vector(p: ProbabilityVector, path) -> None:
-    probs = _records(_FIELD, p.n, lambda i, j: (p.probs[i:j].tolist(),))
+    probs = _records(_FIELD, p.n, lambda i, j: (p.probs[i:j],))
     _save_json({"n": p.n, "probs": probs}, path)
 
 
-def write_distribution_csv(rows, path) -> None:
-    """Write (step, vertex, probability) rows, the probability with
-    fmt_float's formatting, CHUNK rows per write."""
-    rows = iter(rows)
+def write_distribution_csv(dists, path) -> None:
+    """Write (step, vertex, probability) rows from (step, probs) pairs,
+    ``probs`` a 1-D float array over the vertices, the probability with
+    fmt_float's formatting. Each step's rows are formatted by one %."""
     with open(path, "w", encoding="utf-8", newline="") as f:
         f.write(",".join(CSV_HEADER) + "\n")
-        while chunk := list(islice(rows, CHUNK)):
-            f.write("".join([f"{s},{v},{p:.17g}\n" for s, v, p in chunk]))
+        template, n = "", 0
+        for step, probs in dists:
+            probs = np.asarray(probs, dtype=np.float64).tolist()
+            if len(probs) != n:
+                n = len(probs)
+                template = "".join(f"%d,{v},%.17g\n" for v in range(n))
+            fields = [step] * (2 * n)
+            fields[1::2] = probs
+            f.write(template % tuple(fields))

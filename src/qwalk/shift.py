@@ -46,7 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class KrausGrid:
     """An m x m grid of n x n blocks (the candidate blocks of a shift
     operator), which together form the nm x nm matrix S; ``blocks`` is

@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WalkerState:
     """Normalized length-nm amplitude vector over coin (x) position.
 
@@ -67,7 +67,7 @@ class WalkerState:
         return self.amplitudes[coin * self.n:(coin + 1) * self.n]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProbabilityVector:
     """Length-n distribution over vertices, summing to 1 within ``tol``
     (None: computed from a checked value, so the sum is not checked)."""

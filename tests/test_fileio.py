@@ -20,6 +20,7 @@ from qwalk import (
     WalkerState,
     basis_state,
     coin_matrix,
+    decompose_permutations,
     extract_graph,
     named_coin,
 )
@@ -158,18 +159,19 @@ class TestProbabilityFormat:
 
 class TestCsv:
     def test_deterministic_output(self, tmp_path):
-        rows = [(0, 0, 1.0), (0, 1, 0.0), (1, 0, 1 / 3)]
+        dists = [(0, np.array([1.0, 0.0])), (1, np.array([1 / 3, 2 / 3]))]
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        fileio.write_distribution_csv(rows, p1)
-        fileio.write_distribution_csv(rows, p2)
+        fileio.write_distribution_csv(dists, p1)
+        fileio.write_distribution_csv(dists, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_schema_and_formatting(self, tmp_path):
         path = tmp_path / "d.csv"
-        fileio.write_distribution_csv([(0, 0, 0.5), (0, 1, 0.5)], path)
+        fileio.write_distribution_csv(
+            [(0, np.array([0.5, 0.5])), (4, np.array([0.25, 0.0, 0.75]))], path)
         lines = path.read_text().splitlines()
         assert lines[0] == "step,vertex,probability"
-        assert lines[1] == "0,0,0.5"
+        assert lines[1:] == ["0,0,0.5", "0,1,0.5", "4,0,0.25", "4,1,0", "4,2,0.75"]
 
     def test_seventeen_digits(self):
         assert fileio.fmt_float(1 / 3) == "0.33333333333333331"
@@ -263,6 +265,48 @@ class TestWriterBytes:
         assert_reads_back(a, tmp_path / "out.json")
         (tmp_path / "dumps.json").write_text(json.dumps(matrix_obj(a)))
         assert_reads_back(a, tmp_path / "dumps.json")
+
+    @pytest.mark.parametrize("case", ["all-zero", "zero-chunk-between-dense",
+                                      "dense-chunk", "minus-zero-real", "minus-zero-imag"])
+    def test_matrix_zero_runs(self, tmp_path, rng, case):
+        # chunks that the zero skip writes entirely from its "0.0", partly,
+        # or not at all
+        size = 3 * fileio.CHUNK
+        z = np.zeros(size, dtype=np.complex128)
+        if case == "zero-chunk-between-dense":
+            z = rng.normal(size=size) + 1j * rng.normal(size=size)
+            z[fileio.CHUNK:2 * fileio.CHUNK] = 0
+        elif case == "dense-chunk":
+            z[:fileio.CHUNK] = rng.normal(size=fileio.CHUNK) + 1j * rng.normal(size=fileio.CHUNK)
+        elif case == "minus-zero-real":
+            z[fileio.CHUNK + 7] = complex(-0.0, 0.0)
+        elif case == "minus-zero-imag":
+            z[2 * fileio.CHUNK + 1] = complex(0.0, -0.0)
+        a = z.reshape(3, fileio.CHUNK)
+        assert saved_bytes(fileio.save_matrix, a, tmp_path) == reference_bytes(matrix_obj(a))
+        assert_reads_back(a, tmp_path / "out.json")
+
+    def test_decomposed_grid(self, tmp_path, rng):
+        n = 128  # each n x n block spans 4 chunks, n nonzero entries or none
+        a = np.zeros((n, n))
+        for _ in range(3):
+            a[np.arange(n), rng.permutation(n)] += 1
+        grid = decompose_permutations(a)
+        obj = {"m": 3, "n": n, "blocks": [[matrix_obj(b) for b in row] for row in grid.blocks]}
+        assert saved_bytes(fileio.save_grid, grid, tmp_path) == reference_bytes(obj)
+        blocks = fileio.load_grid(tmp_path / "out.json").blocks
+        assert blocks.view(np.float64).tobytes() == grid.blocks.view(np.float64).tobytes()
+
+    def test_graph_with_real_weights(self, tmp_path, rng):
+        count = fileio.CHUNK + 1
+        w = rng.normal(size=count)
+        w[:4] = [5e-324, 1e308, 1e16, 0.1]
+        arcs = tuple(Arc(k % 7, k % 5, complex(x), k % 2) for k, x in enumerate(w))
+        obj = {"n": 7, "arcs": arc_records(arcs), "undirected": [], "names": None}
+        g = MultiGraph(7, arcs)
+        assert saved_bytes(fileio.save_graph, g, tmp_path) == reference_bytes(obj)
+        weight = fileio.load_graph(tmp_path / "out.json").weight
+        assert weight.view(np.float64).tobytes() == g.weight.view(np.float64).tobytes()
 
     @pytest.mark.parametrize("size", [1, 3, fileio.CHUNK + 1])
     def test_state(self, tmp_path, rng, size):
@@ -369,17 +413,20 @@ class TestWriterBytes:
         resaved = saved_bytes(fileio.save_graph, fileio.load_graph(path), tmp_path)
         assert resaved == path.read_bytes()
 
-    @pytest.mark.parametrize("size", [0, 1, fileio.CHUNK + 1])
+    @pytest.mark.parametrize("size", [0, 1, fileio.CHUNK - 1, fileio.CHUNK + 1])
     def test_csv(self, tmp_path, rng, size):
-        probs = [-0.0, 5e-324, 0.1, 1e16, 1.0] + rng.random(size).tolist()
-        rows = [(k // 3, k % 3, p) for k, p in enumerate(probs[:size])]
+        """Three steps over ``size`` vertices; at size 0, a trajectory of
+        no steps."""
+        probs = np.concatenate([[-0.0, 5e-324, 0.1, 1e16, 1.0], rng.random(3 * size)])
+        dists = [(t, probs[t * size:(t + 1) * size]) for t in range(3 if size else 0)]
         expected = io.StringIO(newline="")
         writer = csv.writer(expected, lineterminator="\n")
         writer.writerow(fileio.CSV_HEADER)
-        for s, v, p in rows:
-            writer.writerow([s, v, fileio.fmt_float(p)])
+        for t, p in dists:
+            for v, x in enumerate(p.tolist()):
+                writer.writerow([t, v, fileio.fmt_float(x)])
         path = tmp_path / "d.csv"
-        fileio.write_distribution_csv(iter(rows), path)
+        fileio.write_distribution_csv(iter(dists), path)
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
 
 

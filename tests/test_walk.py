@@ -193,6 +193,22 @@ class TestProbabilityVector:
         assert ProbabilityVector(np.array([-0.0, 1.0]), None).n == 2
 
 
+@pytest.mark.parametrize("make", [
+    lambda: CoinSpec.global_coin(named_coin("hadamard", 2), 3),
+    lambda: basis_state(2, 3, 0, 1),
+    lambda: ProbabilityVector(np.array([0.5, 0.5])),
+    lambda: cycle_shift_grid(4),
+    lambda: decompose_permutations(cycle_adjacency(4)),
+], ids=["CoinSpec", "WalkerState", "ProbabilityVector", "KrausGrid", "KrausGrid-perm"])
+def test_array_values_compare_and_hash(make):
+    # values holding an array compare and hash as objects: a generated
+    # __eq__ would compare the arrays and raise
+    a, b = make(), make()
+    assert isinstance(a == b, bool) and a == a and not a != a
+    assert hash(a) == hash(a)
+    assert {a: "a", b: "b"}[a] == "a"
+
+
 @given(arrays(np.float64, st.integers(1, 6)))
 @settings(max_examples=200, deadline=None)
 def test_distribution_accepts_exactly_the_finite_nonnegative(p):

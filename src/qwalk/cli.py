@@ -19,7 +19,7 @@ import numpy as np
 from . import fileio
 from .coins import CoinSpec, coin_matrix, evolution, named_coin, NAMED_COINS
 from .errors import FileFormatError, NonUnitaryError, PreconditionError
-from .linalg import Tolerance, require_unitary
+from .linalg import DEFAULT_TOL, Tolerance, require_unitary
 from .shift import (_extract, _family_dims, assemble_shift, decompose_permutations,
                     extract_graph, verify_kraus)
 from .walk import classical_trajectory, measure_position, step
@@ -31,10 +31,6 @@ EXIT_NON_UNITARY = 3
 EXIT_VERIFY_FAILED = 4
 
 
-def _tol(args) -> Tolerance:
-    return Tolerance(abs_eps=args.tol) if args.tol is not None else Tolerance()
-
-
 def _nonneg(kind):
     def parse(text: str):
         value = kind(text)
@@ -42,6 +38,10 @@ def _nonneg(kind):
             raise argparse.ArgumentTypeError("must be nonnegative")
         return value
     return parse
+
+
+def _tolerance(text: str) -> Tolerance:
+    return Tolerance(_nonneg(float)(text))
 
 
 def cmd_decompose(args) -> int:
@@ -57,7 +57,7 @@ def cmd_decompose(args) -> int:
 def cmd_verify(args) -> int:
     grid = fileio.load_grid(args.grid)
     a = fileio.load_matrix(args.adjacency) if args.adjacency else None
-    report = verify_kraus(a, grid, _tol(args))
+    report = verify_kraus(a, grid, args.tol)
     if report.sum_ok is None:
         print("sum: SKIPPED (no adjacency file)")
     else:
@@ -72,7 +72,7 @@ def cmd_verify(args) -> int:
 
 def cmd_assemble(args) -> int:
     grid = fileio.load_grid(args.grid)
-    shift = assemble_shift(grid, _tol(args))
+    shift = assemble_shift(grid, args.tol)
     fileio.save_matrix(shift.matrix, args.out)
     print(f"shift operator: {shift.m * shift.n}x{shift.m * shift.n} "
           f"(m={shift.m}, n={shift.n})")
@@ -80,30 +80,28 @@ def cmd_assemble(args) -> int:
 
 
 def cmd_coin(args) -> int:
-    spec = fileio.load_coin_spec(args.coin, _tol(args))
+    spec = fileio.load_coin_spec(args.coin, args.tol)
     fileio.save_matrix(coin_matrix(spec), args.out)
     return EXIT_OK
 
 
 def cmd_evolve_op(args) -> int:
-    tol = _tol(args)
     s = fileio.load_matrix(args.shift)
-    spec = fileio.load_coin_spec(args.coin, tol)
-    require_unitary(s, tol, "shift operator")
-    fileio.save_matrix(evolution(s, spec, tol), args.out)
+    spec = fileio.load_coin_spec(args.coin, args.tol)
+    require_unitary(s, args.tol, "shift operator")
+    fileio.save_matrix(evolution(s, spec, args.tol), args.out)
     return EXIT_OK
 
 
 def cmd_walk(args) -> int:
-    tol = _tol(args)
     operator = fileio.load_matrix(args.operator)
-    state = fileio.load_state(args.state, tol)
+    state = fileio.load_state(args.state, args.tol)
     if args.coin is not None:
-        spec = fileio.load_coin_spec(args.coin, tol)
-        require_unitary(operator, tol, "shift operator")
-        operator = evolution(operator, spec, tol)  # checks U itself
+        spec = fileio.load_coin_spec(args.coin, args.tol)
+        require_unitary(operator, args.tol, "shift operator")
+        operator = evolution(operator, spec, args.tol)  # checks U itself
     else:
-        require_unitary(operator, tol, "walk operator")
+        require_unitary(operator, args.tol, "walk operator")
     if operator.shape[0] != state.m * state.n:
         raise PreconditionError(
             f"operator dimension {operator.shape[0]} does not match state "
@@ -122,7 +120,7 @@ def cmd_walk(args) -> int:
 
 def cmd_classical(args) -> int:
     a = fileio.load_matrix(args.adjacency)
-    p0 = fileio.load_probability_vector(args.init, _tol(args))
+    p0 = fileio.load_probability_vector(args.init, args.tol)
     dists = []
     for t, dist in enumerate(classical_trajectory(a, p0, args.steps)):
         if args.trajectory or t == args.steps:
@@ -178,26 +176,22 @@ def _extract_all(u, tol, base) -> None:
 
 def cmd_extract(args) -> int:
     u = fileio.load_matrix(args.unitary)
-    tol = _tol(args)
     if args.all_partitions:
-        _extract_all(u, tol, Path(args.out))
-        return EXIT_OK
-    if args.m is None:
-        raise PreconditionError("extract requires --m or --all-partitions")
-    print(_save_extracted(args.m, *extract_graph(u, args.m, tol), args.out))
+        _extract_all(u, args.tol, Path(args.out))
+    else:
+        print(_save_extracted(args.m, *extract_graph(u, args.m, args.tol), args.out))
     return EXIT_OK
 
 
 def cmd_compile(args) -> int:
     a = fileio.load_matrix(args.adjacency)
-    tol = _tol(args)
     grid = decompose_permutations(a)
-    shift = assemble_shift(grid, tol)
+    shift = assemble_shift(grid, args.tol)
     if args.coin_file is not None:
-        spec = fileio.load_coin_spec(args.coin_file, tol)
+        spec = fileio.load_coin_spec(args.coin_file, args.tol)
     else:
-        spec = CoinSpec.global_coin(named_coin(args.coin_name, grid.m), grid.n, tol)
-    fileio.save_matrix(evolution(shift, spec, tol), args.out)
+        spec = CoinSpec.global_coin(named_coin(args.coin_name, grid.m), grid.n, args.tol)
+    fileio.save_matrix(evolution(shift, spec, args.tol), args.out)
     print(f"m = {grid.m}")
     return EXIT_OK
 
@@ -212,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--tol", type=_nonneg(float), default=None,
+        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
                        help="absolute tolerance override")
         return p
 
@@ -262,9 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("extract", cmd_extract,
             "read the multigraph encoded by a bipartite unitary")
     p.add_argument("unitary")
-    p.add_argument("--m", type=int, default=None, help="coin dimension")
-    p.add_argument("--all-partitions", action="store_true",
-                   help="extract one graph per divisor of the dimension")
+    which = p.add_mutually_exclusive_group(required=True)
+    which.add_argument("--m", type=int, help="coin dimension")
+    which.add_argument("--all-partitions", action="store_true",
+                       help="extract one graph per divisor of the dimension")
     p.add_argument("--out", required=True)
 
     p = add("compile", cmd_compile,

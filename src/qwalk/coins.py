@@ -2,7 +2,8 @@
 
 A coin acts on the m-dimensional coin register: one global unitary, lifted
 as C (x) I_n, or a stack of n, entry k steering vertex k. Unitarity is
-checked when the spec is constructed, not at use.
+checked when the spec is constructed, not at use. U = S (C (x) I_n) of a
+monomial S is built, certified and applied here, from its factors.
 """
 
 from dataclasses import InitVar, dataclass
@@ -21,7 +22,6 @@ from .linalg import (
     require_unitary,
 )
 from .shift import KrausGrid
-from .walk import _Factored
 
 __all__ = [
     "CoinSpec",
@@ -40,15 +40,14 @@ class CoinSpec:
     """Coin choice for an m-dimensional coin register over n vertices.
 
     ``matrices`` is one read-only (k, m, m) stack of unitaries, each within
-    ``tol``: k = 1 for a global coin, and k = n per vertex otherwise, entry
-    v steering vertex v. Use the classmethods rather than the raw
-    constructor.
+    ``tol``, and its size is the spec's kind: k = 1 is a global coin, and
+    k = n gives one coin per vertex, entry v steering vertex v. Any other
+    k is refused. Use the classmethods rather than the raw constructor.
     """
 
     m: int
     n: int
     matrices: ComplexMatrix
-    per_vertex: bool
     tol: InitVar[Tolerance] = DEFAULT_TOL
 
     def __post_init__(self, tol):
@@ -57,10 +56,9 @@ class CoinSpec:
         mats = np.array(self.matrices, dtype=np.complex128)  # a copy the caller cannot change
         if not np.isfinite(mats).all():
             raise ValueError("matrix contains NaN or Inf entries")
-        expected = self.n if self.per_vertex else 1
-        if len(mats) != expected:
+        if len(mats) not in (1, self.n):
             raise PreconditionError(
-                f"expected {expected} coin matrices, got {len(mats)}")
+                f"expected 1 or {self.n} coin matrices, got {len(mats)}")
         if mats.shape[1:] != (self.m, self.m):
             raise PreconditionError(
                 f"coin must be {self.m}x{self.m}, got {mats.shape[1:]}")
@@ -68,11 +66,15 @@ class CoinSpec:
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
+    @property
+    def per_vertex(self) -> bool:  # n > 1 coins, one per vertex
+        return len(self.matrices) > 1
+
     @classmethod
     def global_coin(cls, c: ComplexMatrix, n: int,
                     tol: Tolerance = DEFAULT_TOL) -> "CoinSpec":
         c = as_matrix(c)
-        return cls(c.shape[0], n, c[None], False, tol)
+        return cls(c.shape[0], n, c[None], tol)
 
     @classmethod
     def per_vertex_coins(cls, coins, m: int, n: int,
@@ -86,7 +88,7 @@ class CoinSpec:
             raise PreconditionError(f"per-vertex coins must be {m}x{m} with m >= 1")
         _require_indexable(n * m * m, "a coin array")
         pad = np.broadcast_to(np.eye(m, dtype=np.complex128), (n - len(coins), m, m))
-        return cls(m, n, np.concatenate([np.reshape(coins, (-1, m, m)), pad]), True, tol)
+        return cls(m, n, np.concatenate([np.reshape(coins, (-1, m, m)), pad]), tol)
 
 
 def named_coin(name: str, m: int) -> ComplexMatrix:
@@ -134,6 +136,25 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
     return full.reshape(m * n, m * n)
 
 
+class _Factored(np.ndarray):
+    """Dense U as ``evolution`` returns it for a monomial S, with the (perm,
+    phase, coins) it was scattered from in ``_factors``, coins the (n, m, m)
+    stack: ``U @ x`` for a 1-D x of U's size is phase * (coin step of x)[perm].
+    Arrays numpy derives from it (view, copy, slice, ufunc result, unpickled
+    copy) have ``_factors`` None and multiply densely, as ``np.matmul`` does."""
+
+    def __array_finalize__(self, obj):
+        self._factors = None
+
+    def __matmul__(self, x):
+        if self._factors is None or getattr(x, "shape", None) != self.shape[:1]:
+            return super().__matmul__(x)
+        perm, phase, coins = self._factors
+        n, m, _ = coins.shape  # U's own split: a state of any split is a vector
+        coined = np.einsum("kij,jk->ik", coins, x.reshape(m, n))
+        return phase * coined.reshape(-1)[perm]
+
+
 def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
               tol: Tolerance = DEFAULT_TOL) -> ComplexMatrix:
     """One-step evolution operator S (C (x) I_n): the shift applied after
@@ -146,8 +167,8 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     factors: S†S = D is diagonal, so U†U = (C (x) I)† D (C (x) I) is
     block-diagonal by vertex, and the residual of U is the max over k of
     |C_k† diag(D[i n + k] for i < m) C_k - I|, in O(N m + n m^3). That U
-    also keeps its factors, so that ``walk.step`` applies it as the coin
-    then the permutation, in O(n m^2), without reading the dense matrix.
+    is a _Factored array that keeps its factors, so that ``U @ psi`` applies
+    it as the coin then the permutation, in O(n m^2).
     Any other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S
     and the dense check of U. U is read-only either way."""
     if isinstance(shift, KrausGrid):

@@ -194,6 +194,15 @@ def _ints(what: str, *values) -> np.ndarray:
     return np.array(values, dtype=np.int64)
 
 
+def _fields(obj, error: str, *keys) -> list:
+    """obj[key] for each of ``keys``, refusing a missing one, or an ``obj``
+    that is not an object, as FileFormatError(f"{error}: ...")."""
+    try:
+        return [obj[key] for key in keys]
+    except (TypeError, KeyError) as exc:
+        raise FileFormatError(f"{error}: {exc}") from exc
+
+
 def _complex_vector(items, what: str) -> np.ndarray:
     pairs = _number_array(items, 2, f"{what} must be a list of [re, im] number pairs")
     return np.ascontiguousarray(pairs).view(np.complex128).reshape(-1)
@@ -206,10 +215,7 @@ def matrix_from_obj(obj) -> ComplexMatrix:
 def _matrix(obj, vector) -> ComplexMatrix:
     """The matrix of a parsed matrix object whose entries list ``vector``
     reads, with matrix_from_obj's checks in its order."""
-    try:
-        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"matrix object missing field: {exc}") from exc
+    rows, cols, entries = _fields(obj, "matrix object missing field", "rows", "cols", "entries")
     _ints("matrix rows/cols", rows, cols)
     if rows < 1 or cols < 1:
         raise FileFormatError("matrix rows/cols must be positive integers")
@@ -320,10 +326,7 @@ def save_graph(g: MultiGraph, path) -> None:
 
 def load_grid(path) -> KrausGrid:
     obj = _load_json(path)
-    try:
-        m, n, rows = obj["m"], obj["n"], obj["blocks"]
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"malformed grid file: {exc}") from exc
+    m, n, rows = _fields(obj, "malformed grid file", "m", "n", "blocks")
     _ints("grid m/n", m, n)
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise FileFormatError("grid blocks must be a list of rows of matrices")
@@ -341,10 +344,7 @@ def save_grid(grid: KrausGrid, path) -> None:
 
 def load_coin_spec(path, tol: Tolerance = DEFAULT_TOL) -> CoinSpec:
     obj = _load_json(path)
-    try:
-        m, n, kind = obj["m"], obj["n"], obj["kind"]
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"malformed coin file: {exc}") from exc
+    m, n, kind = _fields(obj, "malformed coin file", "m", "n", "kind")
     _ints("coin m/n", m, n)
     if kind == "named":
         name = obj.get("name")
@@ -358,7 +358,7 @@ def load_coin_spec(path, tol: Tolerance = DEFAULT_TOL) -> CoinSpec:
     if kind == "global":
         if len(mats) != 1:
             raise FileFormatError("global coin takes exactly one matrix")
-        return CoinSpec(m, n, mats, False, tol)
+        return CoinSpec(m, n, mats, tol)
     if kind == "per_vertex":
         return CoinSpec.per_vertex_coins(mats, m, n, tol)
     raise FileFormatError(f"unknown coin kind {kind!r}")
@@ -377,11 +377,8 @@ def save_coin_spec(spec: CoinSpec, path) -> None:
 
 def load_state(path, tol: Tolerance = DEFAULT_TOL) -> WalkerState:
     obj = _load_json(path)
-    try:
-        m, n = obj["m"], obj["n"]
-        amps = _complex_vector(obj["amplitudes"], "state amplitudes")
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"malformed state file: {exc}") from exc
+    m, n, amps = _fields(obj, "malformed state file", "m", "n", "amplitudes")
+    amps = _complex_vector(amps, "state amplitudes")
     _ints("state m/n", m, n)
     return WalkerState(m, n, amps, tol)
 
@@ -392,10 +389,8 @@ def save_state(s: WalkerState, path) -> None:
 
 def load_probability_vector(path, tol: Tolerance = DEFAULT_TOL) -> ProbabilityVector:
     obj = _load_json(path)
-    try:
-        probs = _number_array(obj["probs"], None, "probs must be a flat list of numbers")
-    except (TypeError, KeyError) as exc:
-        raise FileFormatError(f"malformed probability file: {exc}") from exc
+    [probs] = _fields(obj, "malformed probability file", "probs")
+    probs = _number_array(probs, None, "probs must be a flat list of numbers")
     n = obj.get("n")
     if n is not None:
         _ints("probability n", n)

@@ -138,13 +138,11 @@ class MultiGraph:
 
 
 def adjacency(g: MultiGraph) -> ComplexMatrix:
-    """n x n matrix with a_ij the summed weight of arcs i -> j; each
-    undirected edge contributes its weight to both a_ij and a_ji."""
-    a = np.zeros((g.n, g.n), dtype=np.complex128)
-    np.add.at(a, (g.tail, g.head), g.weight)  # unbuffered, in arc order
-    for e in g.undirected:
-        a[e.u, e.v] += e.weight
-        a[e.v, e.u] += e.weight
+    """n x n matrix scattered from ``_arc_columns``: a_ij is the summed weight
+    of arcs i -> j, and each undirected edge adds its weight to a_ij and a_ji."""
+    (n, _), tail, head, weight = _arc_columns(g)
+    a = np.zeros((n, n), dtype=np.complex128)
+    a[tail, head] = weight
     return a
 
 

@@ -84,7 +84,9 @@ def monomial(a: ComplexMatrix) -> tuple[NDArray[np.int64], ComplexMatrix] | None
 def unitarity_residual(a: ComplexMatrix) -> float:
     """max-norm of a†a - I; zero iff the columns are orthonormal. Exact
     and O(N) for monomial matrices, whose a†a is diagonal."""
-    a = _require_square(a)
+    a = as_matrix(a)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
     mono = monomial(a)
     if mono is not None:
         return max_norm(np.abs(mono[1]) ** 2 - 1.0)
@@ -118,10 +120,3 @@ def _require_indexable(entries: int, what: str) -> None:
     """Refuse, before it is allocated, a complex128 array numpy cannot index."""
     if 16 * entries > np.iinfo(np.intp).max:
         raise PreconditionError(f"{what} of {entries} entries is too large")
-
-
-def _require_square(a) -> ComplexMatrix:
-    a = as_matrix(a)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    return a

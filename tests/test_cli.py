@@ -300,6 +300,17 @@ class TestExtract:
         g = fileio.load_graph(out)
         assert g.n == 1 and len(g.arcs) == 4
 
+    @pytest.mark.parametrize("which", [["--m", "2", "--all-partitions"], []],
+                             ids=["both", "neither"])
+    def test_needs_exactly_one_of_m_and_all_partitions(self, tmp_path, capsys, which):
+        u = write_matrix(tmp_path, "swap.json", SWAP)
+        with pytest.raises(SystemExit) as exc:
+            main(["extract", u, *which, "--out", str(tmp_path / "graph.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--all-partitions" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("graph*"))
+
     def test_all_partitions(self, tmp_path, rng):
         u = write_matrix(tmp_path, "u8.json", haar_unitary(8, rng))
         out = tmp_path / "family.json"

@@ -138,15 +138,27 @@ class TestCoinStack:
         assert np.array_equal(spec.matrices[0], H)
 
     def test_raw_constructor_checks_the_stack(self):
-        assert CoinSpec(2, 3, [H], False).matrices.shape == (1, 2, 2)
-        with pytest.raises(PreconditionError, match="expected 3 coin matrices"):
-            CoinSpec(2, 3, [H], True)
+        """The stack's size is the spec's kind: 1 coin is global, n coins
+        are per vertex, and any other count is refused."""
+        spec = CoinSpec(2, 3, [H])
+        assert spec.matrices.shape == (1, 2, 2) and not spec.per_vertex
+        assert CoinSpec(2, 3, [H, H, np.eye(2)]).per_vertex
+        with pytest.raises(PreconditionError, match="expected 1 or 3 coin matrices, got 2"):
+            CoinSpec(2, 3, [H, H])
         with pytest.raises(PreconditionError, match="coin must be 2x2"):
-            CoinSpec(2, 3, [np.eye(3)], False)
+            CoinSpec(2, 3, [np.eye(3)])
         with pytest.raises(ValueError, match="NaN or Inf"):
-            CoinSpec(2, 3, [[[np.nan, 0], [0, 1]]], False)
+            CoinSpec(2, 3, [[[np.nan, 0], [0, 1]]])
         with pytest.raises(NonUnitaryError, match="coin is not unitary"):
-            CoinSpec(2, 2, [H, 2 * H], True)
+            CoinSpec(2, 2, [H, 2 * H])
+
+    def test_one_vertex_per_vertex_spec_is_the_global_spec(self, rng):
+        c = haar_unitary(2, rng)
+        per, glob = CoinSpec.per_vertex_coins([c], 2, 1), CoinSpec.global_coin(c, 1)
+        assert not per.per_vertex
+        swap = np.array([[0, 1], [1, 0]])
+        assert coin_matrix(per).tobytes() == coin_matrix(glob).tobytes()
+        assert evolution(swap, per).tobytes() == evolution(swap, glob).tobytes()
 
 
 class TestEvolution:

@@ -132,6 +132,14 @@ class TestCoinFormat:
         spec2 = fileio.load_coin_spec(path)
         assert np.array_equal(coin_matrix(spec2), coin_matrix(spec))
 
+    def test_one_vertex_per_vertex_spec_is_written_global(self, tmp_path, rng):
+        c = haar_unitary(2, rng)
+        paths = tmp_path / "pv.json", tmp_path / "global.json"
+        fileio.save_coin_spec(CoinSpec.per_vertex_coins([c], 2, 1), paths[0])
+        fileio.save_coin_spec(CoinSpec.global_coin(c, 1), paths[1])
+        assert json.loads(paths[0].read_text())["kind"] == "global"
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_unknown_kind(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"m": 2, "n": 2, "kind": "mystery", "matrices": 1}')

@@ -27,13 +27,13 @@ from .shift import (
     assemble_shift,
     extract_graph,
     extract_family,
+    column_adjacency,
 )
 from .coins import (
     CoinSpec,
     named_coin,
     coin_matrix,
     evolution,
-    column_adjacency,
 )
 from .walk import (
     WalkerState,

@@ -31,17 +31,15 @@ EXIT_NON_UNITARY = 3
 EXIT_VERIFY_FAILED = 4
 
 
-def _nonneg(kind):
-    def parse(text: str):
-        value = kind(text)
-        if not value >= 0:  # also rejects NaN
-            raise argparse.ArgumentTypeError("must be nonnegative")
-        return value
-    return parse
+def _steps(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be nonnegative")
+    return value
 
 
 def _tolerance(text: str) -> Tolerance:
-    return Tolerance(_nonneg(float)(text))
+    return Tolerance(float(text))
 
 
 def cmd_decompose(args) -> int:
@@ -139,12 +137,7 @@ def _save_extracted(m, grid, graph, out_path) -> str:
             f"(adjacency: {adjacency_path})")
 
 
-_family = None  # (u, tol, base path) of a family worker, set by _hold_family
-
-
-def _hold_family(u, tol, base) -> None:
-    global _family
-    _family = u, tol, base
+_family = None  # (u, tol, base path), set by _extract_all while its workers run
 
 
 def _extract_member(m: int) -> str:
@@ -161,10 +154,11 @@ def _extract_all(u, tol, base) -> None:
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    global _family
     dims = _family_dims(u, tol)
+    _family = u, tol, base  # before the pool forks its workers, which inherit it
     pool = ProcessPoolExecutor(min(len(dims), len(os.sched_getaffinity(0))),
-                               multiprocessing.get_context("fork"),
-                               initializer=_hold_family, initargs=(u, tol, base))
+                               multiprocessing.get_context("fork"))
     try:
         for line in pool.map(_extract_member, dims):
             print(line)
@@ -172,6 +166,7 @@ def _extract_all(u, tol, base) -> None:
         raise PreconditionError(f"an extraction worker died: {exc}") from exc
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        _family = None
 
 
 def cmd_extract(args) -> int:
@@ -240,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state", help="initial state file")
     p.add_argument("--coin", default=None,
                    help="coin spec file; composes with the operator first")
-    p.add_argument("--steps", type=_nonneg(int), required=True)
+    p.add_argument("--steps", type=_steps, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trajectory", action="store_true",
                    help="record every step, not just the final one")
@@ -249,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
             "run the classical random-walk baseline with the same CSV schema")
     p.add_argument("adjacency")
     p.add_argument("init", help="initial probability vector file")
-    p.add_argument("--steps", type=_nonneg(int), required=True)
+    p.add_argument("--steps", type=_steps, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--trajectory", action="store_true")
 

@@ -18,7 +18,6 @@ from .linalg import (
     _require_indexable,
     as_matrix,
     max_norm,
-    monomial,
     require_unitary,
 )
 from .shift import KrausGrid
@@ -28,7 +27,6 @@ __all__ = [
     "named_coin",
     "coin_matrix",
     "evolution",
-    "column_adjacency",
     "NAMED_COINS",
 ]
 
@@ -158,8 +156,8 @@ class _Factored(np.ndarray):
 def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
               tol: Tolerance = DEFAULT_TOL) -> ComplexMatrix:
     """One-step evolution operator S (C (x) I_n): the shift applied after
-    the coin. ``shift`` is S, or a grid that holds it, such as the one
-    ``assemble_shift`` returns.
+    the coin. ``shift`` is a grid, such as ``assemble_shift`` returns, or
+    S itself, which is read as the grid ``KrausGrid.from_matrix(S, m)``.
 
     When S is monomial, as every decomposed or assembled shift is, with
     (S x)[r] = phase[r] x[perm[r]] and perm[r] = i n + v, U is one
@@ -171,19 +169,16 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     it as the coin then the permutation, in O(n m^2).
     Any other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S
     and the dense check of U. U is read-only either way."""
-    if isinstance(shift, KrausGrid):
-        shape, mono = (shift.m * shift.n,) * 2, shift.monomial()
-    else:
-        shift = as_matrix(shift)
-        shape, mono = shift.shape, monomial(shift)
     m, n = spec.m, spec.n
-    if shape != (m * n, m * n):
+    grid = shift if isinstance(shift, KrausGrid) else KrausGrid.from_matrix(as_matrix(shift), m)
+    if grid.m * grid.n != m * n:
         raise PreconditionError(
-            f"shift {shape} and coin {(m * n, m * n)} dimensions disagree")
+            f"shift {(grid.m * grid.n,) * 2} and coin {(m * n, m * n)} dimensions disagree")
     coins = np.broadcast_to(spec.matrices, (n, m, m))
+    mono = grid.monomial()
     if mono is None:
-        s = shift.matrix if isinstance(shift, KrausGrid) else shift
-        u = np.einsum("iakb,bkj->iajb", s.reshape(m, n, m, n), coins).reshape(m * n, m * n)
+        u = np.einsum("iakb,bkj->iajb", grid.matrix.reshape(m, n, m, n), coins)
+        u = u.reshape(m * n, m * n)
         u.setflags(write=False)
         return require_unitary(u, tol, "evolution operator")
     perm, phase = mono
@@ -200,12 +195,3 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     u = u.view(_Factored)
     u._factors = (perm, phase, coins)
     return u
-
-
-def column_adjacency(u: ComplexMatrix, m: int, j: int) -> ComplexMatrix:
-    """Effective transposed transition matrix for walkers in coin state j:
-    the sum of all blocks in block column j of u."""
-    blocks = KrausGrid.from_matrix(u, m).blocks
-    if not 0 <= j < m:
-        raise PreconditionError(f"column index {j} out of range for m={m}")
-    return blocks[:, j].sum(axis=0)

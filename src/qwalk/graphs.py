@@ -140,7 +140,7 @@ class MultiGraph:
 def adjacency(g: MultiGraph) -> ComplexMatrix:
     """n x n matrix scattered from ``_arc_columns``: a_ij is the summed weight
     of arcs i -> j, and each undirected edge adds its weight to a_ij and a_ji."""
-    (n, _), tail, head, weight = _arc_columns(g)
+    n, tail, head, weight = _arc_columns(g)
     a = np.zeros((n, n), dtype=np.complex128)
     a[tail, head] = weight
     return a
@@ -156,20 +156,23 @@ def _sum_arcs(n: int, tails, heads, weights) -> tuple[np.ndarray, np.ndarray, Co
     return *np.divmod(keys, n), summed
 
 
-def _arc_columns(a) -> tuple[tuple[int, int], np.ndarray, np.ndarray, np.ndarray]:
-    """The shape of the adjacency of ``a``, a MultiGraph or a matrix, and its
-    nonzero entries (tail, head, weight) in ``np.nonzero`` order, bit-equal to
-    ``adjacency(a)``'s. A matrix is checked as by ``as_matrix``, in place."""
+def _arc_columns(a) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """n and the nonzero entries (tail, head, weight) of the n x n adjacency
+    of ``a``, a MultiGraph or a matrix, in ``np.nonzero`` order, bit-equal to
+    ``adjacency(a)``'s. A matrix is checked as by ``as_matrix``, in place, and
+    refused unless square: every adjacency the package reads comes here."""
     if not isinstance(a, MultiGraph):
         a = _as_matrix_keep_real(a)
+        if a.shape[0] != a.shape[1]:
+            raise PreconditionError("adjacency matrix must be square")
         tail, head = _nonzero(a)
-        return a.shape, tail, head, a[tail, head]
+        return a.shape[0], tail, head, a[tail, head]
     uv = np.array([[e.u, e.v] for e in a.undirected], dtype=np.int64).reshape(-1, 2)
     w = np.repeat(np.array([e.weight for e in a.undirected], dtype=np.complex128), 2)
     tail, head, weight = _sum_arcs(a.n, [a.tail, uv.ravel()], [a.head, uv[:, ::-1].ravel()],
                                    [a.weight, w])  # both arcs of each edge, in edge order
     keep = weight != 0
-    return (a.n, a.n), tail[keep], head[keep], weight[keep]
+    return a.n, tail[keep], head[keep], weight[keep]
 
 
 def split_directed(a: Arc, weights, tol: Tolerance = DEFAULT_TOL) -> list[Arc]:
@@ -213,7 +216,5 @@ def from_adjacency(a: ComplexMatrix) -> MultiGraph:
     """Canonical digraph preimage: one arc per nonzero entry, no
     undirected edges. Other preimages are reachable via the split
     operations."""
-    shape, tail, head, weight = _arc_columns(a)
-    if shape[0] != shape[1]:
-        raise PreconditionError("adjacency matrix must be square")
-    return MultiGraph.from_columns(shape[0], tail, head, weight, np.full(tail.size, -1))
+    n, tail, head, weight = _arc_columns(a)
+    return MultiGraph.from_columns(n, tail, head, weight, np.full(tail.size, -1))

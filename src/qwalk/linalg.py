@@ -36,7 +36,7 @@ class Tolerance:
     abs_eps: float = 1e-10
 
     def __post_init__(self):
-        if self.abs_eps < 0:
+        if not self.abs_eps >= 0:  # also refuses NaN, which would pass every check
             raise ValueError("tolerances must be nonnegative")
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "assemble_shift",
     "extract_graph",
     "extract_family",
+    "column_adjacency",
 ]
 
 
@@ -74,24 +75,22 @@ class KrausGrid:
             raise PreconditionError(shape_error) from exc
         if b.shape != (m, m, n, n):
             raise PreconditionError(f"{shape_error}, got shape {b.shape}")
-        s = as_matrix(b.transpose(0, 2, 1, 3).reshape(m * n, m * n))
-        s.setflags(write=False)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_s", s)
+        self._hold(m, n, as_matrix(b.transpose(0, 2, 1, 3).reshape(m * n, m * n)))
 
     @classmethod
     def _permutation(cls, m: int, n: int, perm: np.ndarray,
                      phase: ComplexMatrix) -> "KrausGrid":
         """The grid of the monomial S with (S x)[r] = phase[r] x[perm[r]];
         ``perm`` is a permutation of range(nm) and ``phase`` finite."""
-        grid = cls.__new__(cls)
-        object.__setattr__(grid, "m", m)
-        object.__setattr__(grid, "n", n)
-        object.__setattr__(grid, "_s", (perm, phase))
-        perm.setflags(write=False)
-        phase.setflags(write=False)
+        grid = object.__new__(cls)
+        grid._hold(m, n, (perm, phase))
         return grid
+
+    def _hold(self, m: int, n: int, s) -> None:
+        """Set the fields, with the arrays of S made read-only."""
+        for a in s if isinstance(s, tuple) else (s,):
+            a.setflags(write=False)
+        vars(self).update(m=m, n=n, _s=s)
 
     @classmethod
     def from_matrix(cls, u: ComplexMatrix, m: int) -> "KrausGrid":
@@ -192,14 +191,11 @@ def decompose_permutations(a: ComplexMatrix | MultiGraph) -> KrausGrid:
     splits (Alon 2003), then the blocks of the rest; one of even degree,
     those of its halves.
     """
-    shape, tail, head, weight = _arc_columns(a)
-    if shape[0] != shape[1]:
-        raise PreconditionError("adjacency matrix must be square")
+    n, tail, head, weight = _arc_columns(a)
     w = weight.real
     if (np.any(weight.imag != 0) or w.min(initial=0) < 0 or w.max(initial=0) >= 2 ** 63
             or np.any(w != np.round(w))):
         raise PreconditionError("entries must be nonnegative 64-bit integers")
-    n = shape[0]
     # float64 sums of integers are exact below 2^53, which no storable d reaches
     sums = np.bincount(np.concatenate([tail, head + n]), np.tile(w, 2), 2 * n)
     if sums.max() >= 2.0 ** 53:
@@ -281,10 +277,9 @@ def verify_kraus(a: ComplexMatrix | MultiGraph | None, grid: KrausGrid,
     completeness. The block sum is compared on arcs, with no n x n array,
     and bit-equal to ``max_norm(grid.block_sum() - adjacency.T)``."""
     if a is not None:
-        shape, tail, head, weight = _arc_columns(a)
-        if shape != (grid.n, grid.n):
-            raise PreconditionError(
-                f"adjacency shape {shape} does not match grid n={grid.n}")
+        n, tail, head, weight = _arc_columns(a)
+        if n != grid.n:
+            raise PreconditionError(f"adjacency shape {(n, n)} does not match grid n={grid.n}")
         (rows, cols), values = grid._block_sum_entries()
         sum_residual = max_norm(_sum_arcs(grid.n, [rows, head], [cols, tail], [values, -weight])[2])
         sum_ok = sum_residual <= tol.abs_eps
@@ -350,3 +345,12 @@ def _extract(u: ComplexMatrix, m: int, tol: Tolerance) -> tuple[KrausGrid, Multi
     keep = (np.abs(adj) >= tol.abs_eps) & (adj != 0)
     coin, tail, head = np.nonzero(keep)  # in (coin, tail, head) C order
     return grid, MultiGraph.from_columns(grid.n, tail, head, adj[coin, tail, head], coin)
+
+
+def column_adjacency(u: ComplexMatrix, m: int, j: int) -> ComplexMatrix:
+    """Effective transposed transition matrix for walkers in coin state j:
+    the sum of all blocks in block column j of u."""
+    blocks = KrausGrid.from_matrix(u, m).blocks
+    if not 0 <= j < m:
+        raise PreconditionError(f"column index {j} out of range for m={m}")
+    return blocks[:, j].sum(axis=0)

@@ -12,7 +12,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import PreconditionError
-from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, _as_matrix_keep_real, _nonzero
+from .graphs import _arc_columns
+from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, _as_matrix_keep_real
 
 __all__ = [
     "WalkerState",
@@ -149,16 +150,14 @@ def _transition_arcs(a: ComplexMatrix) -> tuple[int, np.ndarray, np.ndarray, np.
     """n and the arcs M[tail, head] = weight of M = D^-1 A, tail-major,
     checked as ``classical_transition`` says; a float64 ``a`` is not copied."""
     a = _as_matrix_keep_real(a)
-    if a.shape[0] != a.shape[1]:
-        raise PreconditionError("adjacency matrix must be square")
-    if (np.iscomplexobj(a) and np.any(a.imag != 0)) or a.real.min() < 0:
+    n, tail, head, weight = _arc_columns(a)
+    if np.any(weight.imag != 0) or weight.real.min(initial=0) < 0:
         raise PreconditionError("classical walks need real nonnegative weights")
     degrees = a.real.sum(axis=1)
     if np.any(degrees == 0):
         zero_rows = np.flatnonzero(degrees == 0).tolist()
         raise PreconditionError(f"vertices {zero_rows} have zero out-degree")
-    tail, head = _nonzero(a)
-    return a.shape[0], tail, head, a.real[tail, head] / degrees[tail]
+    return n, tail, head, weight.real / degrees[tail]
 
 
 def classical_trajectory(a: ComplexMatrix, p0: ProbabilityVector,

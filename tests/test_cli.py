@@ -227,15 +227,16 @@ class TestWalk:
     def test_coin_walk_checks_each_operator_once(self, setup, tmp_path, monkeypatch):
         import qwalk.coins
         import qwalk.linalg
+        import qwalk.shift
         dense, stacks, certified = [], [], []
-        residual, detect = qwalk.linalg.unitarity_residual, qwalk.coins.monomial
+        residual, detect = qwalk.linalg.unitarity_residual, qwalk.shift.monomial
         check = qwalk.coins._require_unitary_stack
         monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
                             lambda a: dense.append(a.shape) or residual(a))
         monkeypatch.setattr(qwalk.coins, "_require_unitary_stack",
                             lambda c, w, tol, what: stacks.append((c.shape, what))
                             or check(c, w, tol, what))
-        monkeypatch.setattr(qwalk.coins, "monomial",
+        monkeypatch.setattr(qwalk.shift, "monomial",
                             lambda s: certified.append(s.shape) or detect(s))
         op, state, coin = setup
         assert main(["walk", op, state, "--coin", coin, "--steps", "2",
@@ -371,6 +372,13 @@ class TestExtract:
         for f in sorted((tmp_path / "serial").iterdir()):
             assert (tmp_path / f.name).read_bytes() == f.read_bytes(), f.name
         assert len(list((tmp_path / "serial").iterdir())) == 12
+
+    @pytest.mark.parametrize("out, code", [("family.json", 0), ("missing/family.json", 1)])
+    def test_all_partitions_keeps_no_family_in_the_parent(self, tmp_path, rng, out, code):
+        import qwalk.cli
+        path = write_matrix(tmp_path, "u6.json", haar_unitary(6, rng))
+        assert main(["extract", path, "--all-partitions", "--out", str(tmp_path / out)]) == code
+        assert qwalk.cli._family is None  # the workers inherited U; the parent holds none
 
     def test_worker_error_exits_1(self, tmp_path, rng, capfd):
         u = write_matrix(tmp_path, "u12.json", haar_unitary(12, rng))

@@ -6,14 +6,17 @@ from hypothesis import strategies as st
 from conftest import cycle_shift_grid, haar_unitary, right_shift
 from qwalk import (
     CoinSpec,
+    KrausGrid,
     NonUnitaryError,
     PreconditionError,
     Tolerance,
+    WalkerState,
     assemble_shift,
     coin_matrix,
     column_adjacency,
     decompose_permutations,
     evolution,
+    evolve,
     is_unitary,
     max_norm,
     named_coin,
@@ -309,3 +312,18 @@ def test_only_a_non_monomial_shift_takes_the_dense_check(rng, monkeypatch, kind,
     u = evolution(s, spec)
     assert calls == dense_calls
     assert certified_residual(s, spec) == pytest.approx(residual(u), rel=0, abs=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["permutation", "phased", "haar"])
+def test_dense_shift_evolves_as_its_grid(rng, kind):
+    """``evolution`` reads a dense S through ``KrausGrid.from_matrix``, so U
+    and every walk on it are bit-identical to those of the grid."""
+    m, n = 2, 6
+    s = {"permutation": np.eye(m * n)[rng.permutation(m * n)],
+         "phased": monomial_shift(m * n, rng),
+         "haar": haar_unitary(m * n, rng)}[kind]
+    spec = random_spec(m, n, True, rng)
+    dense, grid = evolution(s, spec), evolution(KrausGrid.from_matrix(s, m), spec)
+    assert np.array_equal(dense, grid)
+    psi0 = WalkerState(m, n, haar_unitary(m * n, rng)[0])
+    assert np.array_equal(evolve(dense, psi0, 30).amplitudes, evolve(grid, psi0, 30).amplitudes)

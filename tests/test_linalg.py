@@ -122,6 +122,13 @@ def test_tolerance_validation():
         Tolerance(abs_eps=-1.0)
 
 
+def test_tolerance_refuses_nan():
+    """Every ``r > abs_eps`` is false for a NaN abs_eps, so it would certify
+    a non-unitary coin such as 2 I."""
+    with pytest.raises(ValueError):
+        CoinSpec.global_coin(2 * np.eye(2), 3, Tolerance(float("nan")))
+
+
 def test_as_matrix_rejects_nan():
     with pytest.raises(ValueError):
         as_matrix(np.array([[np.nan, 0], [0, 1]]))

@@ -32,14 +32,20 @@ EXIT_VERIFY_FAILED = 4
 
 
 def _steps(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+    try:
+        if (value := int(text)) >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a nonnegative integer: {text!r}")
 
 
 def _tolerance(text: str) -> Tolerance:
-    return Tolerance(float(text))
+    try:
+        return Tolerance(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative number: {text!r}") from None
 
 
 def cmd_decompose(args) -> int:
@@ -86,8 +92,7 @@ def cmd_coin(args) -> int:
 def cmd_evolve_op(args) -> int:
     s = fileio.load_matrix(args.shift)
     spec = fileio.load_coin_spec(args.coin, args.tol)
-    require_unitary(s, args.tol, "shift operator")
-    fileio.save_matrix(evolution(s, spec, args.tol), args.out)
+    fileio.save_matrix(evolution(s, spec, args.tol), args.out)  # checks U, so S
     return EXIT_OK
 
 
@@ -96,8 +101,7 @@ def cmd_walk(args) -> int:
     state = fileio.load_state(args.state, args.tol)
     if args.coin is not None:
         spec = fileio.load_coin_spec(args.coin, args.tol)
-        require_unitary(operator, args.tol, "shift operator")
-        operator = evolution(operator, spec, args.tol)  # checks U itself
+        operator = evolution(operator, spec, args.tol)  # checks U, so S
     else:
         require_unitary(operator, args.tol, "walk operator")
     if operator.shape[0] != state.m * state.n:

@@ -6,17 +6,18 @@ json writes them (the shortest repr); floats in CSV output use
 17-significant-digit formatting. Identical inputs produce byte-identical
 files on every platform.
 
-Matrix files are read and written at about the cost of their nonzero
-entries. On reading, exact zero pairs laid out as qwalk writes them, or
-as json.dumps' default layout does, are collapsed before json parses
-the text; on writing, every +0.0 is the literal "0.0" and only the other
-numbers go through json. The distribution CSV formats each step's
+Matrix files, and the matrices of grid and coin files, are read and
+written at about the cost of their nonzero entries and zero runs. On
+reading, each maximal run of exact zero pairs laid out as qwalk writes
+them, or as json.dumps' default layout does, is collapsed to one null
+before json parses the text; on writing, a run of +0.0 pairs is one
+repeated string, every other +0.0 is the literal "0.0" and only the
+other numbers go through json. The distribution CSV formats each step's
 column in one call.
 """
 
 import json
-from itertools import compress, repeat
-from operator import is_not
+from itertools import chain, islice, pairwise, repeat
 
 import numpy as np
 
@@ -64,8 +65,8 @@ def _load_json(path, parse=json.loads):
 # rendered piece by piece; its bulk values (complex arrays, probabilities,
 # arcs) are ``_records`` callables of the nesting level, which render
 # CHUNK records per piece from one json.dumps per column of numbers
-# (_column_texts), so no Python call is made per number and the whole
-# text is never held.
+# (_column_texts), and each run of +0.0 pairs as one repeated string, so
+# no Python call is made per number and the whole text is never held.
 
 CHUNK = 4096
 
@@ -129,14 +130,16 @@ def _template(skeleton, level: int) -> list[str]:
     return "".join(_chunks(skeleton, level)).split(json.dumps(_FIELD))
 
 
-def _records(skeleton, count: int, columns):
+def _records(skeleton, count: int, columns, gaps=None):
     """Bulk value: a list of ``count`` records laid out as ``skeleton``,
     whose _FIELD leaves take, in order, the values of the 1-D arrays that
-    ``columns(i, j)`` returns for records i..j-1."""
+    ``columns(i, j)`` returns for records i..j-1. ``gaps``, if given, holds
+    count + 1 run lengths: gaps[k] records whose every field is +0.0 come
+    before record k, and gaps[count] after the last; each run is written
+    as repeated text, CHUNK records per piece."""
+    gaps = np.zeros(count + 1, dtype=np.int64) if gaps is None else gaps
+
     def render(level):
-        if not count:
-            yield "[]"
-            return
         pieces = _template(skeleton, level + 1)
         fields = len(pieces) - 1
         sep = ",\n" + " " * (level + 1)
@@ -145,23 +148,55 @@ def _records(skeleton, count: int, columns):
         pattern = [None] * (2 * fields)
         pattern[::2] = [pieces[-1] + sep + pieces[0], *pieces[1:-1]]
         pattern *= CHUNK
-        yield "["
-        for i in range(0, count, CHUNK):
-            texts = list(map(_column_texts, columns(i, i + CHUNK)))
-            out = pattern[:2 * fields * len(texts[0])]
-            out[0] = (sep if i else sep[1:]) + pieces[0]
-            for f, column in enumerate(texts):
-                out[2 * f + 1::2 * fields] = column
-            yield "".join(out) + pieces[-1]
+        blank = sep + "0.0".join(pieces)
+
+        def blanks(run):
+            whole, part = divmod(run, CHUNK)
+            if whole:
+                yield from repeat(blank * CHUNK, whole)
+            if part:
+                yield blank * part
+
+        def items():  # the text of every record after its separator
+            for i in range(0, count, CHUNK):
+                texts = list(map(_column_texts, columns(i, i + CHUNK)))
+                out = pattern[:2 * fields * len(texts[0])]
+                out[0] = sep + pieces[0]
+                for f, column in enumerate(texts):
+                    out[2 * f + 1::2 * fields] = column
+                done, runs = 0, gaps[i:i + len(texts[0])]
+                at = np.flatnonzero(runs)
+                for k, run in zip(at.tolist(), runs[at].tolist()):
+                    if k:
+                        yield "".join(out[done:2 * fields * k]) + pieces[-1]
+                    yield from blanks(run)
+                    done = 2 * fields * k
+                    out[done] = sep + pieces[0]
+                del out[:done]
+                yield "".join(out) + pieces[-1]
+            yield from blanks(int(gaps[count]))
+
+        rest = items()
+        first = next(rest, None)
+        if first is None:
+            yield "[]"
+            return
+        yield "[" + first[1:]  # the first separator has no comma
+        yield from rest
         yield "\n" + " " * level + "]"
     return render
 
 
 def _pairs(z):
-    """Bulk value: a complex array as a list of [re, im] pairs."""
-    z = np.asarray(z, dtype=np.complex128).reshape(-1)
+    """Bulk value: a complex array as a list of [re, im] pairs, its runs of
+    +0.0 pairs (a -0.0 part is not +0.0) written as repeated text."""
+    z = np.ascontiguousarray(z, dtype=np.complex128).reshape(-1)
+    bits = z.view(np.uint64)
+    kept = np.flatnonzero(np.logical_or(bits[::2], bits[1::2]))
+    gaps = np.diff(kept, prepend=-1, append=z.size) - 1
+    z = z[kept]
     return _records([_FIELD, _FIELD], z.size,
-                    lambda i, j: (z.real[i:j], z.imag[i:j]))
+                    lambda i, j: (z.real[i:j], z.imag[i:j]), gaps)
 
 
 _ARC = {"tail": _FIELD, "head": _FIELD, "w": [_FIELD, _FIELD], "coin": _FIELD}
@@ -234,48 +269,122 @@ def _matrix_skeleton(a: ComplexMatrix) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": _pairs(a)}
 
 
-# An exact zero pair as the matrix writer lays it out, and as json.dumps'
-# default layout does.
-_ZERO_PAIRS = ("[\n   0.0,\n   0.0\n  ]", "[0.0, 0.0]")
+def _gallop(text: str, at: int, blocks: list) -> tuple[int, int]:
+    """(end, count): text[at:end] is the longest run, ``count`` long, of
+    blocks[0] repeated; blocks[k] is blocks[0] * 2**k, and is added to the
+    list when first needed. O(log count) calls to str.startswith."""
+    k = 0
+    while True:
+        if k == len(blocks):
+            blocks.append(blocks[-1] * 2)
+        if not text.startswith(blocks[k], at):
+            break
+        at += len(blocks[k])
+        k += 1
+    count = (1 << k) - 1
+    for j in reversed(range(k)):
+        if text.startswith(blocks[j], at):
+            at += len(blocks[j])
+            count += 1 << j
+    return at, count
 
 
-def _parse_matrix(text: str) -> ComplexMatrix:
-    """matrix_from_obj(json.loads(text)), with each of _ZERO_PAIRS in the
-    text collapsed to one null before json parses it.
+def _collapse(text: str, level: int):
+    """(text with each maximal run of exact zero pairs, in either layout
+    below, replaced by one null, the run lengths in text order), or None
+    where the text holds no run, a backslash, or a null of its own. Each
+    layout is searched for only up to the nearest run found, so a layout
+    the text does not use costs one scan."""
+    if "\\" in text:
+        return None
+    # an exact zero pair and the separator before it, as json.dump(indent=1)
+    # lays out an item of a list nested ``level`` deep, and as json.dumps'
+    # default layout does
+    pad = " " * level
+    layouts = (f"[\n{pad} 0.0,\n{pad} 0.0\n{pad}]", ",\n" + pad), ("[0.0, 0.0]", ", ")
+    blocks = [[sep + pair] for pair, sep in layouts]
+    clear = [0] * len(layouts)  # no pair of layout j starts in [done, clear[j])
+    pieces, runs, done = [], [], 0
+    while True:
+        start, k = len(text), None
+        for j, (pair, _) in enumerate(layouts):
+            if clear[j] < start:
+                at = text.find(pair, clear[j], start + len(pair))
+                clear[j] = start if at < 0 else at
+                if at >= 0:
+                    start, k = at, j
+        if k is None:
+            break
+        end, run = _gallop(text, start + len(layouts[k][0]), blocks[k])
+        pieces += (text[done:start], "null")
+        runs.append(run + 1)
+        done = end
+        clear = [max(at, done) for at in clear]
+    pieces.append(text[done:])
+    collapsed = "".join(pieces)
+    if not runs or collapsed.count("null") != len(runs):
+        return None
+    return collapsed, runs
 
-    Each None in the parsed entries then stands for a zero pair. The text
-    is parsed as it is where it holds a null (it would pass for a pair) or
-    a backslash (an escape such as "\\[" could turn a pair inside a string
-    into valid text), or where the parsed entries do not hold one None per
-    collapsed pair (a pair inside a string, or outside the entries). So the
-    collapse never changes what is read or refused."""
-    collapsed, zeros = text, 0
-    if "\\" not in text:
-        for pair in _ZERO_PAIRS:
-            shorter = collapsed.replace(pair, "null")
-            zeros += (len(collapsed) - len(shorter)) // (len(pair) - len("null"))
-            collapsed = shorter
-    if zeros and "null" not in text:
+
+def _parse(text: str, level: int, matrices):
+    """(json.loads(text), vector): ``vector`` reads, as _complex_vector
+    does, the entries lists of the matrix objects that ``matrices(obj)``
+    lists in document order, each in turn, their zero pairs ``level``
+    deep.
+
+    The text is parsed with its zero runs collapsed (_collapse), and each
+    None in those entries lists then stands for its run. It is parsed as
+    it is where it holds a null (it would pass for a run) or a backslash
+    (an escape such as "\\[" could turn a pair inside a string into valid
+    text), or where those entries lists do not hold one None per run, all
+    told (a run inside a string, or outside the entries). So the collapse
+    never changes what is read or refused."""
+    collapsed = _collapse(text, level)
+    if collapsed is not None:
+        collapsed, runs = collapsed
         try:
             obj = json.loads(collapsed)
-        except (ValueError, RecursionError):  # json's own error comes below
-            obj = None
-        entries = obj.get("entries") if isinstance(obj, dict) else None
-        if isinstance(entries, list) and entries.count(None) == zeros:
-            return _matrix(obj, _scattered)
-    return matrix_from_obj(json.loads(text))
+            lists = [matrix["entries"] for matrix in matrices(obj)]
+        except (ValueError, RecursionError, LookupError, TypeError):
+            lists = None  # json's or the reader's own error comes below
+        if (lists is not None and all(isinstance(e, list) for e in lists)
+                and sum(e.count(None) for e in lists) == len(runs)):
+            lengths = iter(runs)
+            return obj, lambda entries, what: _expanded(
+                entries, list(islice(lengths, entries.count(None))), what)
+    return json.loads(text), _complex_vector
 
 
-def _scattered(entries: list, what: str) -> np.ndarray:
-    """_complex_vector of ``entries`` whose None items are zero pairs."""
-    nonzero = np.fromiter(map(is_not, entries, repeat(None)), bool, len(entries))
-    flat = np.zeros(len(entries), dtype=np.complex128)
-    flat[nonzero] = _complex_vector(list(compress(entries, nonzero)), what)
+def _expanded(entries: list, runs: list, what: str) -> np.ndarray:
+    """_complex_vector of ``entries`` whose k-th None stands for runs[k]
+    zero pairs."""
+    if not runs:
+        return _complex_vector(entries, what)
+    nones = [-1]
+    for _ in runs:
+        nones.append(entries.index(None, nones[-1] + 1))
+    nones.append(len(entries))
+    values = _complex_vector(list(chain.from_iterable(
+        entries[a + 1:b] for a, b in pairwise(nones))), what)
+    # the items between the Nones, each stretch moved on by the runs before it
+    shift = np.repeat(np.cumsum([0, *runs]), np.diff(nones) - 1)
+    flat = np.zeros(values.size + sum(runs), dtype=np.complex128)
+    flat[np.arange(values.size) + shift] = values
     return flat
 
 
+def _load_matrices(path, level: int, matrices):
+    """_parse of the text of the file at ``path``, as _load_json reads it."""
+    return _load_json(path, lambda text: _parse(text, level, matrices))
+
+
+# The nesting level of an entries item in each file's layout.
+_MATRIX_LEVEL, _COIN_LEVEL, _GRID_LEVEL = 2, 4, 5
+
+
 def load_matrix(path) -> ComplexMatrix:
-    return _load_json(path, _parse_matrix)
+    return _matrix(*_load_matrices(path, _MATRIX_LEVEL, lambda obj: [obj]))
 
 
 def save_matrix(a: ComplexMatrix, path) -> None:
@@ -325,12 +434,13 @@ def save_graph(g: MultiGraph, path) -> None:
 
 
 def load_grid(path) -> KrausGrid:
-    obj = _load_json(path)
+    obj, vector = _load_matrices(path, _GRID_LEVEL,
+                                 lambda obj: chain.from_iterable(obj["blocks"]))
     m, n, rows = _fields(obj, "malformed grid file", "m", "n", "blocks")
     _ints("grid m/n", m, n)
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
         raise FileFormatError("grid blocks must be a list of rows of matrices")
-    return KrausGrid(m, n, [[matrix_from_obj(b) for b in row] for row in rows])
+    return KrausGrid(m, n, [[_matrix(b, vector) for b in row] for row in rows])
 
 
 def save_grid(grid: KrausGrid, path) -> None:
@@ -343,7 +453,7 @@ def save_grid(grid: KrausGrid, path) -> None:
 
 
 def load_coin_spec(path, tol: Tolerance = DEFAULT_TOL) -> CoinSpec:
-    obj = _load_json(path)
+    obj, vector = _load_matrices(path, _COIN_LEVEL, lambda obj: obj["matrices"])
     m, n, kind = _fields(obj, "malformed coin file", "m", "n", "kind")
     _ints("coin m/n", m, n)
     if kind == "named":
@@ -354,7 +464,7 @@ def load_coin_spec(path, tol: Tolerance = DEFAULT_TOL) -> CoinSpec:
     matrices = obj.get("matrices")
     if not isinstance(matrices, list) or not matrices:
         raise FileFormatError(f"coin kind {kind!r} requires a 'matrices' list")
-    mats = [matrix_from_obj(c) for c in matrices]
+    mats = [_matrix(c, vector) for c in matrices]
     if kind == "global":
         if len(mats) != 1:
             raise FileFormatError("global coin takes exactly one matrix")

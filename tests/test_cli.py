@@ -178,7 +178,9 @@ class TestWalk:
         assert "walk operator is not unitary" in capsys.readouterr().err
         assert main(["walk", bad_path, state, "--coin", coin, "--steps", "1",
                      "--out", str(tmp_path / "x.csv")]) == 3
-        assert "shift operator is not unitary" in capsys.readouterr().err
+        assert "evolution operator is not unitary" in capsys.readouterr().err
+        assert main(["evolve-op", bad_path, coin, "--out", str(tmp_path / "u.json")]) == 3
+        assert "evolution operator is not unitary" in capsys.readouterr().err
 
     def test_tolerance_accepted_operator_walks_1000_steps(self, tmp_path, rng, capsys):
         op = write_matrix(tmp_path, "u.json", haar_unitary(16, rng) * (1 + 4e-11))
@@ -241,7 +243,7 @@ class TestWalk:
         op, state, coin = setup
         assert main(["walk", op, state, "--coin", coin, "--steps", "2",
                      "--out", str(tmp_path / "w.csv")]) == 0
-        assert dense == [(8, 8)]  # S
+        assert dense == []  # S is checked only through U
         # the coin, then U certified from S as (perm, phase) and the coin stack
         assert stacks == [((1, 2, 2), "coin"), ((4, 2, 2), "evolution operator")]
         assert certified == [(8, 8)]
@@ -522,14 +524,27 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert "NaN or Inf" in err and "Traceback" not in err
 
-    @pytest.mark.parametrize("tol", ["-0.001", "nan"])
+    @pytest.mark.parametrize("tol", ["-0.001", "nan", "x"])
     def test_bad_tolerance_rejected_by_parser(self, tmp_path, capsys, tol):
         adj = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
         with pytest.raises(SystemExit) as exc:
             main(["compile", adj, "--tol", tol, "--out", str(tmp_path / "u.json")])
         assert exc.value.code == 2
         err = capsys.readouterr().err
-        assert "--tol" in err and "Traceback" not in err
+        assert f"argument --tol: must be a nonnegative number: {tol!r}" in err
+        assert "_tolerance" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("steps", ["x", "-1", "1.5"])
+    def test_bad_steps_rejected_by_parser(self, tmp_path, capsys, steps):
+        adj = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
+        p0 = tmp_path / "p0.json"
+        p0.write_text('{"probs": [1, 0, 0, 0]}')
+        with pytest.raises(SystemExit) as exc:
+            main(["classical", adj, str(p0), "--steps", steps, "--out", str(tmp_path / "c.csv")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --steps: must be a nonnegative integer: {steps!r}" in err
+        assert "_steps" not in err and "Traceback" not in err
 
     def test_non_integer_grid_size_exits_1(self, tmp_path, capsys):
         path = tmp_path / "grid.json"

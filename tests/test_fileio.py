@@ -275,13 +275,20 @@ class TestWriterBytes:
         assert_reads_back(a, tmp_path / "dumps.json")
 
     @pytest.mark.parametrize("case", ["all-zero", "zero-chunk-between-dense",
-                                      "dense-chunk", "minus-zero-real", "minus-zero-imag"])
+                                      "dense-chunk", "minus-zero-real", "minus-zero-imag",
+                                      "isolated-across-chunks", "runs-across-chunks"])
     def test_matrix_zero_runs(self, tmp_path, rng, case):
         # chunks that the zero skip writes entirely from its "0.0", partly,
-        # or not at all
+        # or not at all; zero runs before, between and after the chunks of
+        # the other pairs, and runs longer than a chunk
         size = 3 * fileio.CHUNK
         z = np.zeros(size, dtype=np.complex128)
-        if case == "zero-chunk-between-dense":
+        if case == "isolated-across-chunks":  # CHUNK + 4 pairs, one zero before each
+            z[1:2 * fileio.CHUNK + 9:2] = rng.normal(size=fileio.CHUNK + 4) + 1j
+        elif case == "runs-across-chunks":
+            at = [fileio.CHUNK - 1, fileio.CHUNK + 1, 2 * fileio.CHUNK + 2, size - 2]
+            z[at] = rng.normal(size=len(at)) + 1j * rng.normal(size=len(at))
+        elif case == "zero-chunk-between-dense":
             z = rng.normal(size=size) + 1j * rng.normal(size=size)
             z[fileio.CHUNK:2 * fileio.CHUNK] = 0
         elif case == "dense-chunk":
@@ -442,6 +449,100 @@ def read_uncollapsed(path):
     return fileio.matrix_from_obj(fileio._load_json(path))
 
 
+def read_plain(read):
+    """``read`` with no zero run collapsed: every text is read by a plain
+    json.loads."""
+    def plain(path):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_collapse", lambda text, level: None)
+            return read(path)
+    return plain
+
+
+def write_text(path, text) -> None:
+    if isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
+
+
+def read_grid(path) -> np.ndarray:
+    return fileio.load_grid(path).blocks
+
+
+def read_coins(path) -> np.ndarray:
+    return np.asarray(fileio.load_coin_spec(path).matrices)
+
+
+# Reader of each file that nests matrices, and the text of such a file
+# around the text of one matrix object.
+NESTED_READERS = {
+    "grid": (read_grid, lambda matrix: '{"m": 1, "n": 1, "blocks": [[' + matrix + ']]}'),
+    "coin": (read_coins, lambda matrix: '{"m": 1, "n": 1, "kind": "global", "matrices": ['
+             + matrix + ']}'),
+}
+
+ZERO = [0.0, 0.0]
+# Run lengths at the steps of the reader's gallop (one pair, then blocks of
+# 1, 2, 4, ... more), and across a writer's chunk.
+GALLOP_RUNS = [1, 2, 3, 255, 256, 257, fileio.CHUNK - 1, fileio.CHUNK + 1]
+INDENT_ZERO = "[\n   0.0,\n   0.0\n  ]"  # a zero pair of a matrix file
+
+# Texts that a zero-run collapse could misread: pairs where no entries are,
+# nulls, escapes, runs broken by other items, and files json refuses.
+VERDICT_TEXTS = [pytest.param(text, id=name) for name, text in [
+    ("pair-in-string", '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "[0.0, 0.0]"}'),
+    ("indent-pair-in-string",
+     '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "[\n   0.0,\n   0.0\n  ]"}'),
+    ("pair-as-rows", '{"rows": [0.0, 0.0], "cols": 1, "entries": [[0.0, 0.0]]}'),
+    ("pair-as-entries", '{"rows": 1, "cols": 2, "entries": [0.0, 0.0]}'),
+    ("indent-pair-as-entries", '{"rows": 1, "cols": 2, "entries": [\n   0.0,\n   0.0\n  ]}'),
+    ("pair-in-item", '{"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], 1.0], [0.0, 0.0]]}'),
+    ("pairs-as-item", '{"rows": 1, "cols": 1, "entries": [[[0.0, 0.0], [0.0, 0.0]]]}'),
+    ("pair-as-file", '[0.0, 0.0]'),
+    ("null-elsewhere",
+     '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0]], "names": null}'),
+    ("null-item", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], null]}'),
+    ("null-item-and-pair-in-string",
+     '{"rows": 1, "cols": 2, "entries": [[1.0, 0.0], null], "note": "[0.0, 0.0]"}'),
+    ("escape-before-pair",
+     '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\\[0.0, 0.0]"}'),
+    ("escape-elsewhere", '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\\u005b"}'),
+    ("utf-16", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0]]}'.encode("utf-16")),
+    ("nan-next-to-pairs",
+     '{"rows": 1, "cols": 3, "entries": [[0.0, 0.0], [NaN, 0.0], [0.0, 0.0]]}'),
+    ("inf-next-to-pairs", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, Infinity]]}'),
+    ("wrong-count", '{"rows": 2, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}'),
+    ("duplicate-entries",
+     '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "entries": [[1.0, 0.0]]}'),
+    ("int-too-long", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1' + "0" * 5000 + ', 0]]}'),
+    ("mixed-numbers", '{"rows": 1, "cols": 3, "entries": [[0.0, 0.0], '
+                      '[10000000000000000001, -0.0], [true, 0.0]]}'),
+    ("truncated", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, 0.0]] '),
+    ("mixed-layouts", '{"rows": 1, "cols": 6, "entries": [[0.0, 0.0], ' + INDENT_ZERO
+     + ', [1.0, 0.0], ' + INDENT_ZERO + ', [0.0, 0.0], [0.0, 0.0]]}'),
+    ("dumps-pair-in-indent-file",
+     json.dumps({"rows": 1, "cols": 4, "entries": [ZERO, ZERO, [1.0, 0.0], ZERO]}, indent=1)
+     .replace(INDENT_ZERO, "[0.0, 0.0]", 1)),
+    ("string-in-run",
+     '{"rows": 1, "cols": 4, "entries": [[0.0, 0.0], [0.0, 0.0], "[0.0, 0.0]", [0.0, 0.0]]}'),
+    ("indent-string-in-run",
+     json.dumps({"rows": 1, "cols": 4, "entries": [ZERO, ZERO, "x", ZERO]}, indent=1)),
+    ("runs-at-both-ends", json.dumps(
+        {"rows": 1, "cols": 7, "entries": [ZERO, ZERO, [1.0, 2.0], ZERO, [0.5, 0.0], ZERO, ZERO]})),
+    ("indent-runs-at-both-ends", json.dumps(
+        {"rows": 1, "cols": 7, "entries": [ZERO, ZERO, [1.0, 2.0], ZERO, [0.5, 0.0], ZERO, ZERO]},
+        indent=1)),
+    ("minus-zero-splits-runs", json.dumps(
+        {"rows": 1, "cols": 7, "entries": [ZERO, ZERO, [-0.0, 0.0], ZERO, [0.0, -0.0],
+                                           [-0.0, -0.0], ZERO]}, indent=1)),
+    ("null-next-to-run",
+     '{"rows": 1, "cols": 4, "entries": [[0.0, 0.0], [0.0, 0.0], null, [0.0, 0.0]]}'),
+    ("indent-null-next-to-run",
+     json.dumps({"rows": 1, "cols": 4, "entries": [ZERO, None, ZERO, ZERO]}, indent=1)),
+]]
+
+
 def outcome(read, path):
     """The bits and shape of what ``read(path)`` returns, or the class and
     message of what it raises."""
@@ -490,51 +591,91 @@ class TestMatrixReader:
         a = fileio.matrix_from_obj({"rows": 1, "cols": 1, "entries": [[-0.0, -0.0]]})
         assert np.signbit(a.real[0, 0]) and np.signbit(a.imag[0, 0])
 
-    @pytest.mark.parametrize("text", [
-        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "[0.0, 0.0]"}',
-        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "[\n   0.0,\n   0.0\n  ]"}',
-        '{"rows": [0.0, 0.0], "cols": 1, "entries": [[0.0, 0.0]]}',
-        '{"rows": 1, "cols": 2, "entries": [0.0, 0.0]}',
-        '{"rows": 1, "cols": 2, "entries": [\n   0.0,\n   0.0\n  ]}',
-        '{"rows": 1, "cols": 2, "entries": [[[0.0, 0.0], 1.0], [0.0, 0.0]]}',
-        '{"rows": 1, "cols": 1, "entries": [[[0.0, 0.0], [0.0, 0.0]]]}',
-        '[0.0, 0.0]',
-        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0]], "names": null}',
-        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], null]}',
-        '{"rows": 1, "cols": 2, "entries": [[1.0, 0.0], null], "note": "[0.0, 0.0]"}',
-        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\\[0.0, 0.0]"}',
-        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\\u005b"}',
-        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0]]}'.encode("utf-16"),
-        '{"rows": 1, "cols": 3, "entries": [[0.0, 0.0], [NaN, 0.0], [0.0, 0.0]]}',
-        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, Infinity]]}',
-        '{"rows": 2, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0]]}',
-        '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "entries": [[1.0, 0.0]]}',
-        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1' + "0" * 5000 + ', 0]]}',
-        '{"rows": 1, "cols": 3, "entries": [[0.0, 0.0], [10000000000000000001, -0.0], '
-        '[true, 0.0]]}',
-        '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, 0.0]] ',
-    ], ids=["pair-in-string", "indent-pair-in-string", "pair-as-rows", "pair-as-entries",
-            "indent-pair-as-entries", "pair-in-item", "pairs-as-item", "pair-as-file",
-            "null-elsewhere", "null-item", "null-item-and-pair-in-string",
-            "escape-before-pair", "escape-elsewhere", "utf-16", "nan-next-to-pairs", "inf-next-to-pairs", "wrong-count", "duplicate-entries",
-            "int-too-long", "mixed-numbers", "truncated"])
+    @pytest.mark.parametrize("text", VERDICT_TEXTS)
     def test_collapse_keeps_the_verdict(self, tmp_path, text):
         path = tmp_path / "m.json"
-        if isinstance(text, bytes):
-            path.write_bytes(text)
-        else:
-            path.write_text(text)
+        write_text(path, text)
         assert outcome(fileio.load_matrix, path) == outcome(read_uncollapsed, path)
+
+    @pytest.mark.parametrize("reader", ["grid", "coin"])
+    @pytest.mark.parametrize("text", VERDICT_TEXTS)
+    def test_collapse_keeps_the_verdict_of_nested_matrices(self, tmp_path, reader, text):
+        read, wrap = NESTED_READERS[reader]
+        path = tmp_path / "f.json"
+        if isinstance(text, bytes):
+            write_text(path, wrap(text.decode("utf-16")).encode("utf-16"))
+        else:
+            write_text(path, wrap(text))
+        assert outcome(read, path) == outcome(read_plain(read), path)
 
     @given(st.lists(st.one_of(pairs, st.tuples(st.integers(-2 ** 70, 2 ** 70), finite),
                               st.tuples(st.booleans(), st.booleans())), min_size=1, max_size=20),
-           st.sampled_from([None, 1]), st.integers(-1, 1))
+           st.sampled_from([None, 1]), st.integers(-1, 1),
+           st.sampled_from(GALLOP_RUNS), st.integers(0, 20))
     @settings(max_examples=200, deadline=None)
-    def test_collapse_keeps_the_matrix(self, tmp_path_factory, entries, indent, extra):
+    def test_collapse_keeps_the_matrix(self, tmp_path_factory, entries, indent, extra,
+                                       run, at):
         path = tmp_path_factory.mktemp("m") / "m.json"
+        entries[at:at] = [(0.0, 0.0)] * run  # a run the length of one of the gallop's steps
         obj = {"rows": 1, "cols": len(entries) + extra, "entries": entries}
         path.write_text(json.dumps(obj, indent=indent))
         assert outcome(fileio.load_matrix, path) == outcome(read_uncollapsed, path)
+
+    @given(st.integers(1, 2), st.integers(1, 3), st.sampled_from([None, 1]),
+           st.integers(-1, 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_collapse_keeps_the_grid(self, tmp_path_factory, m, n, indent, extra, data):
+        def block(size):
+            entries = data.draw(st.lists(st.one_of(pairs, st.just(ZERO)),
+                                         min_size=size, max_size=size))
+            return {"rows": n, "cols": n, "entries": entries}
+        blocks = [[block(n * n + (extra if i == j == 0 else 0)) for j in range(m)]
+                  for i in range(m)]
+        path = tmp_path_factory.mktemp("g") / "grid.json"
+        path.write_text(json.dumps({"m": m, "n": n, "blocks": blocks}, indent=indent))
+        assert outcome(read_grid, path) == outcome(read_plain(read_grid), path)
+
+    @given(st.integers(1, 3), st.integers(1, 3), st.sampled_from([None, 1]), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_collapse_keeps_the_coins(self, tmp_path_factory, m, n, indent, data):
+        """Signed permutation coins, whose zeros are +0.0 or -0.0."""
+        zero = st.sampled_from([0.0, 0.0, 0.0, -0.0])
+
+        def coin():
+            perm = data.draw(st.permutations(range(m)))
+            return {"rows": m, "cols": m, "entries": [
+                [data.draw(st.sampled_from([1.0, -1.0])) if perm[r] == c else data.draw(zero),
+                 data.draw(zero)] for r in range(m) for c in range(m)]}
+        kind = data.draw(st.sampled_from(["global", "per_vertex"]))
+        matrices = [coin() for _ in range(1 if kind == "global" else n)]
+        path = tmp_path_factory.mktemp("c") / "coin.json"
+        path.write_text(json.dumps({"m": m, "n": n, "kind": kind, "matrices": matrices},
+                                   indent=indent))
+        assert outcome(read_coins, path) == outcome(read_plain(read_coins), path)
+
+    def test_files_in_the_writers_layout_are_read_through_their_runs(
+            self, tmp_path, monkeypatch):
+        """Each matrix of a matrix, grid or coin file in the layout qwalk
+        writes is read with its zero runs collapsed. (qwalk's own coin files
+        hold "name": null, and so are parsed as they are.)"""
+        runs, expanded = [], fileio._expanded
+        monkeypatch.setattr(fileio, "_expanded", lambda entries, lengths, what: (
+            runs.append(sum(lengths)) or expanded(entries, lengths, what)))
+        grid = cycle_shift_grid(8)
+        fileio.save_matrix(grid.matrix, tmp_path / "s.json")
+        assert np.array_equal(fileio.load_matrix(tmp_path / "s.json"), grid.matrix)
+        assert runs == [16 * 16 - 16]
+        fileio.save_grid(grid, tmp_path / "grid.json")
+        assert np.array_equal(read_grid(tmp_path / "grid.json"), grid.blocks)
+        assert runs[1:] == [8 * 8 - 8, 8 * 8, 8 * 8, 8 * 8 - 8]
+        flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
+        spec = CoinSpec.per_vertex_coins([flip, np.eye(2)], 2, 3)
+        fileio.save_coin_spec(spec, tmp_path / "coin.json")
+        obj = json.loads((tmp_path / "coin.json").read_text())
+        del obj["name"]
+        (tmp_path / "coin.json").write_text(json.dumps(obj, indent=1))
+        assert np.array_equal(read_coins(tmp_path / "coin.json"), spec.matrices)
+        assert runs[5:] == [2, 2, 2]
 
     def test_graph_weight_overflow(self, tmp_path):
         path = tmp_path / "g.json"

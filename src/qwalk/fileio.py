@@ -8,16 +8,19 @@ files on every platform.
 
 Matrix files, and the matrices of grid and coin files, are read and
 written at about the cost of their nonzero entries and zero runs. On
-reading, each maximal run of exact zero pairs laid out as qwalk writes
-them, or as json.dumps' default layout does, is collapsed to one null
-before json parses the text; on writing, a run of +0.0 pairs is one
-repeated string, every other +0.0 is the literal "0.0" and only the
-other numbers go through json. The distribution CSV formats each step's
-column in one call.
+reading, the file's bytes are searched for runs of exact zero pairs in
+one layout, that of the first zero pair: the layout qwalk writes, or
+json.dumps' default one. Each maximal run is collapsed to one ``true``,
+a token the writers never write, before the rest is decoded and json
+parses it; each such true then stands for its run. On writing, json
+lays out the skeleton of the file, a run of +0.0 pairs is one repeated
+string, every other +0.0 is the literal "0.0" and only the other numbers
+go through json. The distribution CSV formats each step's column in one
+call.
 """
 
 import json
-from itertools import chain, islice, pairwise, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -46,13 +49,18 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _load_json(path, parse=json.loads):
-    """``parse`` of the text of the UTF-8 file at ``path``. Bad input raises
+def _loads(data: bytes):
+    """json.loads of ``data`` decoded strictly as UTF-8."""
+    return json.loads(data.decode("utf-8"))
+
+
+def _load_json(path, parse=_loads):
+    """``parse`` of the bytes of the file at ``path``. Bad input raises
     json.JSONDecodeError, or FileFormatError for the rest of what reading
     and json refuse: invalid UTF-8, an integer of over 4300 digits,
     nesting deeper than the stack."""
     try:
-        with open(path, "r", encoding="utf-8") as f:
+        with open(path, "rb") as f:
             return parse(f.read())
     except json.JSONDecodeError:
         raise
@@ -61,64 +69,47 @@ def _load_json(path, parse=json.loads):
 
 
 # The JSON writers write exactly the text of json.dump(obj, f, indent=1)
-# plus a newline. ``obj`` is a skeleton of dicts, lists and scalars,
-# rendered piece by piece; its bulk values (complex arrays, probabilities,
-# arcs) are ``_records`` callables of the nesting level, which render
-# CHUNK records per piece from one json.dumps per column of numbers
-# (_column_texts), and each run of +0.0 pairs as one repeated string, so
-# no Python call is made per number and the whole text is never held.
+# plus a newline. ``obj`` is a skeleton of dicts, lists and scalars, which
+# json lays out; its bulk values (complex arrays, probabilities, arcs) are
+# ``_records`` callables of the nesting level, which render CHUNK records
+# per piece from one json.dumps per column of numbers (_column_texts), and
+# each run of +0.0 pairs as one repeated string, so no Python call is made
+# per number and the whole text is never held.
 
 CHUNK = 4096
 
 
 def _save_json(obj, path) -> None:
+    # json dumps each bulk value as a marker string, made longer until no
+    # other text holds it (names may hold any string); each value is then
+    # streamed at the indentation of its marker's line.
+    marker, bulk, pieces = "", [], []
+    while len(pieces) != len(bulk) + 1:
+        marker, bulk = marker + "\0", []
+        text = json.dumps(obj, indent=1, default=lambda value: bulk.append(value) or marker)
+        pieces = text.split(json.dumps(marker))
     with open(path, "w", encoding="utf-8") as f:
-        f.writelines(_chunks(obj, 0))
-        f.write("\n")
-
-
-def _chunks(obj, level: int):
-    """The json indent-1 text of ``obj`` nested ``level`` deep, in pieces."""
-    if callable(obj):
-        yield from obj(level)
-    elif isinstance(obj, dict) and obj:
-        pad = "\n" + " " * (level + 1)
-        yield "{"
-        for i, (key, value) in enumerate(obj.items()):
-            yield f"{',' if i else ''}{pad}{json.dumps(key)}: "
-            yield from _chunks(value, level + 1)
-        yield "\n" + " " * level + "}"
-    elif isinstance(obj, (list, tuple)) and obj:
-        pad = "\n" + " " * (level + 1)
-        yield "["
-        for i, value in enumerate(obj):
-            yield f"{',' if i else ''}{pad}"
-            yield from _chunks(value, level + 1)
-        yield "\n" + " " * level + "]"
-    else:
-        yield json.dumps(obj)
-
-
-def _scalar_texts(values: list) -> list[str]:
-    """json's text of each of a list of numbers, booleans and nulls, from
-    one C-encoded dumps (no such text contains ", ")."""
-    return json.dumps(values)[1:-1].split(", ")
+        for piece, value in zip(pieces, bulk):
+            line = piece.rpartition("\n")[2]
+            f.write(piece)
+            f.writelines(value(len(line) - len(line.lstrip(" "))))
+        f.write(pieces[-1] + "\n")
 
 
 def _column_texts(column: np.ndarray) -> list[str]:
     """json's text of each value of a 1-D array (ints, floats, or objects
-    that are ints or None). A float64 +0.0, the one float whose bits are
-    all zero, is "0.0" without json, so a mostly-zero column costs about
-    as much as its other values; those, -0.0 among them, go through
-    _scalar_texts."""
+    that are ints or None), from one C-encoded dumps (no such text contains
+    ", "). A float64 +0.0, the one float whose bits are all zero, is "0.0"
+    without json, so a mostly-zero column costs about as much as its other
+    values."""
     if column.dtype == np.float64:
         kept = np.flatnonzero(column.view(np.uint64))
         if kept.size < column.size:
             texts = ["0.0"] * column.size
-            for k, text in zip(kept.tolist(), _scalar_texts(column[kept].tolist())):
+            for k, text in zip(kept.tolist(), _column_texts(column[kept])):
                 texts[k] = text
             return texts
-    return _scalar_texts(column.tolist())
+    return json.dumps(column.tolist())[1:-1].split(", ")
 
 
 _FIELD = "\0"  # marks a template field; json writes it as "\u0000"
@@ -127,7 +118,8 @@ _FIELD = "\0"  # marks a template field; json writes it as "\u0000"
 def _template(skeleton, level: int) -> list[str]:
     """The json text of ``skeleton`` nested ``level`` deep, split at its
     _FIELD leaves: one more literal piece than there are fields."""
-    return "".join(_chunks(skeleton, level)).split(json.dumps(_FIELD))
+    text = json.dumps(skeleton, indent=1)
+    return text.replace("\n", "\n" + " " * level).split(json.dumps(_FIELD))
 
 
 def _records(skeleton, count: int, columns, gaps=None):
@@ -269,114 +261,94 @@ def _matrix_skeleton(a: ComplexMatrix) -> dict:
     return {"rows": int(a.shape[0]), "cols": int(a.shape[1]), "entries": _pairs(a)}
 
 
-def _gallop(text: str, at: int, blocks: list) -> tuple[int, int]:
-    """(end, count): text[at:end] is the longest run, ``count`` long, of
+def _gallop(data: bytes, at: int, blocks: list) -> tuple[int, int]:
+    """(end, count): data[at:end] is the longest run, ``count`` long, of
     blocks[0] repeated; blocks[k] is blocks[0] * 2**k, and is added to the
-    list when first needed. O(log count) calls to str.startswith."""
+    list when first needed. O(log count) calls to bytes.startswith."""
     k = 0
     while True:
         if k == len(blocks):
             blocks.append(blocks[-1] * 2)
-        if not text.startswith(blocks[k], at):
+        if not data.startswith(blocks[k], at):
             break
         at += len(blocks[k])
         k += 1
     count = (1 << k) - 1
     for j in reversed(range(k)):
-        if text.startswith(blocks[j], at):
+        if data.startswith(blocks[j], at):
             at += len(blocks[j])
             count += 1 << j
     return at, count
 
 
-def _collapse(text: str, level: int):
-    """(text with each maximal run of exact zero pairs, in either layout
-    below, replaced by one null, the run lengths in text order), or None
-    where the text holds no run, a backslash, or a null of its own. Each
-    layout is searched for only up to the nearest run found, so a layout
-    the text does not use costs one scan."""
-    if "\\" in text:
+def _collapse(data: bytes, level: int):
+    """(data with each maximal run of exact zero pairs replaced by one
+    true, the run lengths in order), or None where it holds no run, a
+    backslash, or a true of its own. Runs are looked for in one layout,
+    that of the first zero pair: json.dump(indent=1)'s, for an item of a
+    list nested ``level`` deep, or json.dumps' default one. Pairs in the
+    other layout are left to json."""
+    if b"\\" in data:
         return None
-    # an exact zero pair and the separator before it, as json.dump(indent=1)
-    # lays out an item of a list nested ``level`` deep, and as json.dumps'
-    # default layout does
-    pad = " " * level
-    layouts = (f"[\n{pad} 0.0,\n{pad} 0.0\n{pad}]", ",\n" + pad), ("[0.0, 0.0]", ", ")
-    blocks = [[sep + pair] for pair, sep in layouts]
-    clear = [0] * len(layouts)  # no pair of layout j starts in [done, clear[j])
+    pad = b" " * level
+    pair, sep = b"[\n" + pad + b" 0.0,\n" + pad + b" 0.0\n" + pad + b"]", b",\n" + pad
+    start = data.find(pair)
+    # the other layout is looked for only before that pair: one scan at most
+    at = data.find(b"[0.0, 0.0]", 0, len(data) if start < 0 else start)
+    if at >= 0:
+        pair, sep, start = b"[0.0, 0.0]", b", ", at
+    blocks = [sep + pair]
     pieces, runs, done = [], [], 0
-    while True:
-        start, k = len(text), None
-        for j, (pair, _) in enumerate(layouts):
-            if clear[j] < start:
-                at = text.find(pair, clear[j], start + len(pair))
-                clear[j] = start if at < 0 else at
-                if at >= 0:
-                    start, k = at, j
-        if k is None:
-            break
-        end, run = _gallop(text, start + len(layouts[k][0]), blocks[k])
-        pieces += (text[done:start], "null")
+    while start >= 0:
+        end, run = _gallop(data, start + len(pair), blocks)
+        pieces += (data[done:start], b"true")
         runs.append(run + 1)
         done = end
-        clear = [max(at, done) for at in clear]
-    pieces.append(text[done:])
-    collapsed = "".join(pieces)
-    if not runs or collapsed.count("null") != len(runs):
+        start = data.find(pair, done)
+    pieces.append(data[done:])
+    collapsed = b"".join(pieces)
+    if not runs or collapsed.count(b"true") != len(runs):
         return None
     return collapsed, runs
 
 
-def _parse(text: str, level: int, matrices):
-    """(json.loads(text), vector): ``vector`` reads, as _complex_vector
-    does, the entries lists of the matrix objects that ``matrices(obj)``
-    lists in document order, each in turn, their zero pairs ``level``
-    deep.
+def _parse(data: bytes, level: int, matrices):
+    """(json.loads of data's text, vector): ``vector`` reads, as
+    _complex_vector does, the entries lists of the matrix objects that
+    ``matrices(obj)`` lists in document order, each in turn, their zero
+    pairs ``level`` deep.
 
-    The text is parsed with its zero runs collapsed (_collapse), and each
-    None in those entries lists then stands for its run. It is parsed as
-    it is where it holds a null (it would pass for a run) or a backslash
-    (an escape such as "\\[" could turn a pair inside a string into valid
-    text), or where those entries lists do not hold one None per run, all
-    told (a run inside a string, or outside the entries). So the collapse
-    never changes what is read or refused."""
-    collapsed = _collapse(text, level)
+    The data is parsed with its zero runs collapsed (_collapse), and each
+    true (itself, not a number 1) in those entries lists then stands for
+    its run. It is parsed as it is where it holds a true (it would pass for
+    a run) or a backslash (an escape such as "\\[" could turn a pair inside
+    a string into valid text), or where those entries lists do not hold one
+    true per run, all told (a run inside a string, or outside the entries).
+    So the collapse never changes what is read or refused."""
+    collapsed = _collapse(data, level)
     if collapsed is not None:
         collapsed, runs = collapsed
         try:
-            obj = json.loads(collapsed)
+            obj = _loads(collapsed)
             lists = [matrix["entries"] for matrix in matrices(obj)]
         except (ValueError, RecursionError, LookupError, TypeError):
-            lists = None  # json's or the reader's own error comes below
+            lists = None  # the decoder's, json's or the reader's own error comes below
         if (lists is not None and all(isinstance(e, list) for e in lists)
-                and sum(e.count(None) for e in lists) == len(runs)):
+                and sum(x is True for e in lists for x in e) == len(runs)):
             lengths = iter(runs)
             return obj, lambda entries, what: _expanded(
-                entries, list(islice(lengths, entries.count(None))), what)
-    return json.loads(text), _complex_vector
+                entries, list(islice(lengths, sum(x is True for x in entries))), what)
+    return _loads(data), _complex_vector
 
 
 def _expanded(entries: list, runs: list, what: str) -> np.ndarray:
-    """_complex_vector of ``entries`` whose k-th None stands for runs[k]
+    """_complex_vector of ``entries`` whose k-th true stands for runs[k]
     zero pairs."""
-    if not runs:
-        return _complex_vector(entries, what)
-    nones = [-1]
-    for _ in runs:
-        nones.append(entries.index(None, nones[-1] + 1))
-    nones.append(len(entries))
-    values = _complex_vector(list(chain.from_iterable(
-        entries[a + 1:b] for a, b in pairwise(nones))), what)
-    # the items between the Nones, each stretch moved on by the runs before it
-    shift = np.repeat(np.cumsum([0, *runs]), np.diff(nones) - 1)
-    flat = np.zeros(values.size + sum(runs), dtype=np.complex128)
-    flat[np.arange(values.size) + shift] = values
-    return flat
-
-
-def _load_matrices(path, level: int, matrices):
-    """_parse of the text of the file at ``path``, as _load_json reads it."""
-    return _load_json(path, lambda text: _parse(text, level, matrices))
+    marks = [x is True for x in entries]
+    counts = np.ones(len(entries), dtype=np.int64)
+    counts[np.flatnonzero(marks)] = runs
+    pairs = [[0.0, 0.0] if mark else x for x, mark in zip(entries, marks)]
+    return np.repeat(_complex_vector(pairs, what), counts)
 
 
 # The nesting level of an entries item in each file's layout.
@@ -384,7 +356,8 @@ _MATRIX_LEVEL, _COIN_LEVEL, _GRID_LEVEL = 2, 4, 5
 
 
 def load_matrix(path) -> ComplexMatrix:
-    return _matrix(*_load_matrices(path, _MATRIX_LEVEL, lambda obj: [obj]))
+    return _matrix(*_load_json(path, lambda data: _parse(
+        data, _MATRIX_LEVEL, lambda obj: [obj])))
 
 
 def save_matrix(a: ComplexMatrix, path) -> None:
@@ -434,8 +407,8 @@ def save_graph(g: MultiGraph, path) -> None:
 
 
 def load_grid(path) -> KrausGrid:
-    obj, vector = _load_matrices(path, _GRID_LEVEL,
-                                 lambda obj: chain.from_iterable(obj["blocks"]))
+    obj, vector = _load_json(path, lambda data: _parse(
+        data, _GRID_LEVEL, lambda obj: chain.from_iterable(obj["blocks"])))
     m, n, rows = _fields(obj, "malformed grid file", "m", "n", "blocks")
     _ints("grid m/n", m, n)
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
@@ -453,7 +426,8 @@ def save_grid(grid: KrausGrid, path) -> None:
 
 
 def load_coin_spec(path, tol: Tolerance = DEFAULT_TOL) -> CoinSpec:
-    obj, vector = _load_matrices(path, _COIN_LEVEL, lambda obj: obj["matrices"])
+    obj, vector = _load_json(path, lambda data: _parse(
+        data, _COIN_LEVEL, lambda obj: obj["matrices"]))
     m, n, kind = _fields(obj, "malformed coin file", "m", "n", "kind")
     _ints("coin m/n", m, n)
     if kind == "named":

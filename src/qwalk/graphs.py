@@ -112,6 +112,9 @@ class MultiGraph:
         if np.any(coin < -1):
             raise PreconditionError("coin tags must be nonnegative (-1: untagged)")
         undirected = tuple(undirected)
+        if not (np.isfinite(weight).all()
+                and np.isfinite([e.weight for e in undirected]).all()):
+            raise PreconditionError("arc and edge weights must be finite")
         for e in undirected:
             if e.u >= n or e.v >= n:
                 raise PreconditionError(f"edge {e} references a vertex >= n={n}")

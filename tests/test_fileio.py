@@ -393,6 +393,16 @@ class TestWriterBytes:
         got = saved_bytes(fileio.save_graph, g, tmp_path_factory.mktemp("graph"))
         assert got == reference_bytes(obj)
 
+    def test_graph_names_that_hold_the_bulk_marker(self, tmp_path):
+        """Names that json writes as, or around, the text of a marker
+        string: the arcs are still written where they belong."""
+        names = ["\0", 'a"\0', json.dumps("\0"), "\0\0"]
+        arcs = (Arc(0, 1, 1.0), Arc(3, 2, -0.5j, 1))
+        g = MultiGraph(4, arcs, (), tuple(names))
+        obj = {"n": 4, "arcs": arc_records(arcs), "undirected": [], "names": names}
+        assert saved_bytes(fileio.save_graph, g, tmp_path) == reference_bytes(obj)
+        assert fileio.load_graph(tmp_path / "out.json") == g
+
     def test_graph_across_chunks(self, tmp_path, rng):
         count = fileio.CHUNK + 1
         w = with_specials(rng.normal(size=count) + 1j * rng.normal(size=count))
@@ -460,10 +470,11 @@ def read_plain(read):
 
 
 def write_text(path, text) -> None:
-    if isinstance(text, bytes):
-        path.write_bytes(text)
-    else:
-        path.write_text(text)
+    """Bytes as they are, and text as UTF-8 in which a lone surrogate
+    U+DC80..U+DCFF stands for the byte 0x80..0xFF (not UTF-8 on its own)."""
+    if isinstance(text, str):
+        text = text.encode("utf-8", "surrogateescape")
+    path.write_bytes(text)
 
 
 def read_grid(path) -> np.ndarray:
@@ -489,7 +500,8 @@ GALLOP_RUNS = [1, 2, 3, 255, 256, 257, fileio.CHUNK - 1, fileio.CHUNK + 1]
 INDENT_ZERO = "[\n   0.0,\n   0.0\n  ]"  # a zero pair of a matrix file
 
 # Texts that a zero-run collapse could misread: pairs where no entries are,
-# nulls, escapes, runs broken by other items, and files json refuses.
+# nulls and trues, escapes, runs broken by other items, zero pairs in two
+# layouts, and files json or the UTF-8 decoder refuses.
 VERDICT_TEXTS = [pytest.param(text, id=name) for name, text in [
     ("pair-in-string", '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "[0.0, 0.0]"}'),
     ("indent-pair-in-string",
@@ -505,10 +517,14 @@ VERDICT_TEXTS = [pytest.param(text, id=name) for name, text in [
     ("null-item", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], null]}'),
     ("null-item-and-pair-in-string",
      '{"rows": 1, "cols": 2, "entries": [[1.0, 0.0], null], "note": "[0.0, 0.0]"}'),
+    ("number-1-item-and-pair-in-string",
+     '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], 1], "note": "[0.0, 0.0]"}'),
     ("escape-before-pair",
      '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\\[0.0, 0.0]"}'),
     ("escape-elsewhere", '{"rows": 1, "cols": 1, "entries": [[0.0, 0.0]], "note": "\\u005b"}'),
     ("utf-16", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [1.0, 0.0]]}'.encode("utf-16")),
+    ("invalid-utf-8-between-runs",
+     '{"rows": 1, "cols": 4, "entries": [[0.0, 0.0], [0.0, 0.0], "caf\udce9", [0.0, 0.0]]}'),
     ("nan-next-to-pairs",
      '{"rows": 1, "cols": 3, "entries": [[0.0, 0.0], [NaN, 0.0], [0.0, 0.0]]}'),
     ("inf-next-to-pairs", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, Infinity]]}'),
@@ -521,6 +537,8 @@ VERDICT_TEXTS = [pytest.param(text, id=name) for name, text in [
     ("truncated", '{"rows": 1, "cols": 2, "entries": [[0.0, 0.0], [0.0, 0.0]] '),
     ("mixed-layouts", '{"rows": 1, "cols": 6, "entries": [[0.0, 0.0], ' + INDENT_ZERO
      + ', [1.0, 0.0], ' + INDENT_ZERO + ', [0.0, 0.0], [0.0, 0.0]]}'),
+    ("indent-pair-before-dumps-run", '{"rows": 1, "cols": 5, "entries": [' + INDENT_ZERO
+     + ', [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}'),
     ("dumps-pair-in-indent-file",
      json.dumps({"rows": 1, "cols": 4, "entries": [ZERO, ZERO, [1.0, 0.0], ZERO]}, indent=1)
      .replace(INDENT_ZERO, "[0.0, 0.0]", 1)),
@@ -656,8 +674,7 @@ class TestMatrixReader:
     def test_files_in_the_writers_layout_are_read_through_their_runs(
             self, tmp_path, monkeypatch):
         """Each matrix of a matrix, grid or coin file in the layout qwalk
-        writes is read with its zero runs collapsed. (qwalk's own coin files
-        hold "name": null, and so are parsed as they are.)"""
+        writes is read with its zero runs collapsed."""
         runs, expanded = [], fileio._expanded
         monkeypatch.setattr(fileio, "_expanded", lambda entries, lengths, what: (
             runs.append(sum(lengths)) or expanded(entries, lengths, what)))
@@ -671,11 +688,22 @@ class TestMatrixReader:
         flip = np.array([[0, 1], [1, 0]], dtype=np.complex128)
         spec = CoinSpec.per_vertex_coins([flip, np.eye(2)], 2, 3)
         fileio.save_coin_spec(spec, tmp_path / "coin.json")
-        obj = json.loads((tmp_path / "coin.json").read_text())
-        del obj["name"]
-        (tmp_path / "coin.json").write_text(json.dumps(obj, indent=1))
         assert np.array_equal(read_coins(tmp_path / "coin.json"), spec.matrices)
         assert runs[5:] == [2, 2, 2]
+
+    @pytest.mark.parametrize("first, other", [
+        (INDENT_ZERO, "[0.0, 0.0]"), ("[0.0, 0.0]", INDENT_ZERO)])
+    def test_runs_are_collapsed_in_the_layout_of_the_first_zero_pair(
+            self, tmp_path, first, other):
+        """Zero pairs of the other layout are read as items."""
+        sep = ",\n  " if first == INDENT_ZERO else ", "
+        text = ('{"rows": 1, "cols": 7, "entries": ['
+                + sep.join([first, "[1.0, 0.0]", *[other] * 3, first, first]) + "]}")
+        collapsed, runs = fileio._collapse(text.encode(), fileio._MATRIX_LEVEL)
+        assert runs == [1, 2] and collapsed.count(other.encode()) == 3
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        assert outcome(fileio.load_matrix, path) == outcome(read_uncollapsed, path)
 
     def test_graph_weight_overflow(self, tmp_path):
         path = tmp_path / "g.json"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,19 +137,24 @@ def test_invalid_graph_rejected():
         MultiGraph(0)
     with pytest.raises(PreconditionError):  # not truncated to vertex 0
         MultiGraph(3, arcs=(Arc(0.5, 1),))
+    with pytest.raises(PreconditionError):
+        MultiGraph(2, arcs=(Arc(0, 1, complex(1.0, math.inf)),))
+    with pytest.raises(PreconditionError):
+        MultiGraph(2, undirected=(Edge(0, 1, math.nan),))
 
 
 @pytest.mark.parametrize("columns", [
     ([0], [2], [1.0], [0]),
     ([-1], [0], [1.0], [0]),
     ([0], [1], [0.0], [0]),
+    ([0], [1], [np.nan], [0]),
     ([0], [1], [1.0], [-2]),
     ([0, 1], [1], [1.0, 1.0], [0, 0]),
     ([1.7], [0], [1.0], [0]),
     ([0], [1], [1.0], [0.5]),
     (np.array([1], dtype=np.uint64), [0], [1.0], [0]),
     ([0], [1], [1.0], [2 ** 64 - 1]),
-], ids=["head-n", "tail-neg", "zero-weight", "coin-below-untagged", "ragged",
+], ids=["head-n", "tail-neg", "zero-weight", "nan-weight", "coin-below-untagged", "ragged",
         "float-tail", "float-coin", "uint64-tail", "coin-past-int64"])
 def test_invalid_columns_rejected(columns):
     with pytest.raises(PreconditionError):

@@ -183,14 +183,13 @@ def cmd_extract(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    a = fileio.load_matrix(args.adjacency)
-    grid = decompose_permutations(a)
-    shift = assemble_shift(grid, args.tol)
+    grid = decompose_permutations(fileio.load_matrix(args.adjacency))
     if args.coin_file is not None:
         spec = fileio.load_coin_spec(args.coin_file, args.tol)
     else:
-        spec = CoinSpec.global_coin(named_coin(args.coin_name, grid.m), grid.n, args.tol)
-    fileio.save_matrix(evolution(shift, spec, args.tol), args.out)
+        spec = CoinSpec.global_coin(named_coin(args.coin_name or "identity", grid.m),
+                                    grid.n, args.tol)
+    fileio.save_matrix(evolution(grid, spec, args.tol), args.out)  # checks U, so S
     print(f"m = {grid.m}")
     return EXIT_OK
 
@@ -264,8 +263,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("compile", cmd_compile,
             "decompose, assemble and apply a coin in one invocation")
     p.add_argument("adjacency")
-    p.add_argument("--coin-file", default=None)
-    p.add_argument("--coin-name", default="identity", choices=NAMED_COINS)
+    coin = p.add_mutually_exclusive_group()
+    coin.add_argument("--coin-file", default=None)
+    coin.add_argument("--coin-name", choices=NAMED_COINS, help="default: identity")
     p.add_argument("--out", required=True)
 
     return parser

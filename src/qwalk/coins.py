@@ -170,7 +170,7 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     Any other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S
     and the dense check of U. U is read-only either way."""
     m, n = spec.m, spec.n
-    grid = shift if isinstance(shift, KrausGrid) else KrausGrid.from_matrix(as_matrix(shift), m)
+    grid = shift if isinstance(shift, KrausGrid) else KrausGrid.from_matrix(shift, m)
     if grid.m * grid.n != m * n:
         raise PreconditionError(
             f"shift {(grid.m * grid.n,) * 2} and coin {(m * n, m * n)} dimensions disagree")

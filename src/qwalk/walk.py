@@ -12,8 +12,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .errors import PreconditionError
-from .graphs import _arc_columns
-from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, _as_matrix_keep_real
+from .graphs import MultiGraph, _arc_columns
+from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance
 
 __all__ = [
     "WalkerState",
@@ -121,7 +121,7 @@ def evolve(u: ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:
     """t successive steps; t = 0 returns the initial state."""
     if t < 0:
         raise PreconditionError("step count must be nonnegative")
-    s = s0
+    u, s = np.asanyarray(u, dtype=np.complex128), s0  # read once; U keeps its factors
     for _ in range(t):
         s = step(u, s)
     return s
@@ -135,32 +135,31 @@ def measure_position(s: WalkerState) -> ProbabilityVector:
     return ProbabilityVector(probs, None)
 
 
-def classical_transition(a: ComplexMatrix) -> ComplexMatrix:
+def classical_transition(a: ComplexMatrix | MultiGraph) -> ComplexMatrix:
     """Row-stochastic transition matrix M = D^-1 A of the random walk on a
-    real nonnegative adjacency matrix (D holds the out-degree weights),
-    scattered from the arcs that ``classical_trajectory`` steps over: its
-    update rule P <- M^T P never builds M."""
+    real nonnegative adjacency, a matrix or a MultiGraph (D holds the out-degree
+    weights), scattered from the arcs that ``classical_trajectory`` steps
+    over: its update rule P <- M^T P never builds M."""
     n, tail, head, weight = _transition_arcs(a)
     m = np.zeros((n, n), dtype=np.complex128)
     m[tail, head] = weight
     return m
 
 
-def _transition_arcs(a: ComplexMatrix) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
-    """n and the arcs M[tail, head] = weight of M = D^-1 A, tail-major,
-    checked as ``classical_transition`` says; a float64 ``a`` is not copied."""
-    a = _as_matrix_keep_real(a)
+def _transition_arcs(a) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
+    """n and the arcs M[tail, head] = weight of M = D^-1 A, tail-major, checked
+    as ``classical_transition`` says; a float64 ``a`` is not copied."""
     n, tail, head, weight = _arc_columns(a)
     if np.any(weight.imag != 0) or weight.real.min(initial=0) < 0:
         raise PreconditionError("classical walks need real nonnegative weights")
-    degrees = a.real.sum(axis=1)
-    if np.any(degrees == 0):
-        zero_rows = np.flatnonzero(degrees == 0).tolist()
-        raise PreconditionError(f"vertices {zero_rows} have zero out-degree")
+    degrees = (np.bincount(tail, weight.real, n) if isinstance(a, MultiGraph)
+               else np.asarray(a).real.sum(axis=1, dtype=np.float64))  # as D^-1 A sums rows
+    if (zero := degrees == 0).any():
+        raise PreconditionError(f"vertices {np.flatnonzero(zero).tolist()} have zero out-degree")
     return n, tail, head, weight.real / degrees[tail]
 
 
-def classical_trajectory(a: ComplexMatrix, p0: ProbabilityVector,
+def classical_trajectory(a: ComplexMatrix | MultiGraph, p0: ProbabilityVector,
                          t: int) -> Iterator[ProbabilityVector]:
     """Yield the distributions after 0, 1, ..., t steps of the update
     rule P <- M^T P, each a gather over the arcs of M in O(n + nnz). They
@@ -176,7 +175,8 @@ def classical_trajectory(a: ComplexMatrix, p0: ProbabilityVector,
         yield p0
 
 
-def classical_walk(a: ComplexMatrix, p0: ProbabilityVector, t: int) -> ProbabilityVector:
+def classical_walk(a: ComplexMatrix | MultiGraph, p0: ProbabilityVector,
+                   t: int) -> ProbabilityVector:
     """Distribution after t steps of the update rule P <- M^T P."""
     for dist in classical_trajectory(a, p0, t):
         pass

@@ -435,6 +435,41 @@ class TestCompile:
         from qwalk import is_unitary
         assert is_unitary(fileio.load_matrix(out))
 
+    def test_takes_at_most_one_of_coin_file_and_coin_name(self, tmp_path, capsys):
+        adj = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
+        coin = tmp_path / "coin.json"
+        coin.write_text('{"m": 2, "n": 4, "kind": "named", "name": "hadamard"}')
+        with pytest.raises(SystemExit) as exc:
+            main(["compile", adj, "--coin-file", str(coin), "--coin-name", "identity",
+                  "--out", str(tmp_path / "u.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--coin-name" in err and "Traceback" not in err
+        assert not (tmp_path / "u.json").exists()
+
+    def test_checks_each_operator_once(self, tmp_path, monkeypatch):
+        import qwalk.cli
+        import qwalk.coins
+        import qwalk.linalg
+        import qwalk.shift
+        dense, stacks, rechecks = [], [], []
+        residual, check = qwalk.linalg.unitarity_residual, qwalk.coins._require_unitary_stack
+        monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
+                            lambda a: dense.append(a.shape) or residual(a))
+        monkeypatch.setattr(qwalk.coins, "_require_unitary_stack",
+                            lambda c, w, tol, what: stacks.append((c.shape, what))
+                            or check(c, w, tol, what))
+        for module in (qwalk.cli, qwalk.shift):
+            for name in ("assemble_shift", "verify_kraus"):
+                monkeypatch.setattr(module, name, lambda *a, name=name, f=getattr(module, name):
+                                    rechecks.append(name) or f(*a))
+        adj = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
+        assert main(["compile", adj, "--coin-name", "hadamard",
+                     "--out", str(tmp_path / "u.json")]) == 0
+        assert dense == [] and rechecks == []  # S is checked only through U
+        # the coin, then U certified from S as (perm, phase) and the coin stack
+        assert stacks == [((1, 2, 2), "coin"), ((4, 2, 2), "evolution operator")]
+
 
 I2, Z2, I3 = (matrix_obj(a) for a in (np.eye(2), np.zeros((2, 2)), np.eye(3)))
 NON_SQUARE = matrix_obj(np.ones((2, 3)))

@@ -198,6 +198,11 @@ class TestEvolution:
         with pytest.raises(PreconditionError):
             evolution(c4_shift, CoinSpec.global_coin(H, 3))
 
+    def test_one_dimensional_shift_is_refused_as_not_square(self):
+        # a dense S is read once, by KrausGrid.from_matrix
+        with pytest.raises(PreconditionError, match="^matrix must be square$"):
+            evolution(np.ones(4), CoinSpec.global_coin(H, 2))
+
 
 class TestColumnAdjacency:
     def test_identity(self):

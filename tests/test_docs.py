@@ -24,6 +24,7 @@ def test_readme_library_examples_run(capsys):
     assert abs(probs.sum() - 1) <= 1e-12
     assert np.array2string(probs) in capsys.readouterr().out
     assert namespace["grid"].m == 4 and namespace["grid"].n == 10 ** 5
+    assert abs(namespace["p"].probs.sum() - 1) <= 1e-12
 
 
 def test_readme_cli_block_runs(tmp_path, monkeypatch, capsys):

@@ -69,9 +69,11 @@ def test_verify_refuses_a_non_square_adjacency_file(tmp_path, capsys):
     (lambda: union([]), PreconditionError),
     (lambda: as_matrix(np.ones(3)), ValueError),
     (lambda: named_coin("identity", 2 ** 31), PreconditionError),
+    (lambda: named_coin("identity", 0), PreconditionError),
     (lambda: KrausGrid.from_matrix(np.ones((2, 4)), 1), PreconditionError),
     (lambda: WalkerState(0, 1, [1.0]), PreconditionError),
     (lambda: WalkerState(1, 0, []), PreconditionError),
+    (lambda: WalkerState(2, 2, [1, 0, 0]), PreconditionError),
     (lambda: basis_state(2, 2, 0, 0).subvector(2), PreconditionError),
     (lambda: ProbabilityVector([]), PreconditionError),
     (lambda: evolve(np.eye(2), basis_state(1, 2, 0, 0), -1), PreconditionError),
@@ -80,7 +82,8 @@ def test_verify_refuses_a_non_square_adjacency_file(tmp_path, capsys):
 ], ids=["coin-m0", "coin-n0", "per-vertex-too-many", "arc-negative-endpoint",
         "arc-negative-coin", "edge-negative-endpoint", "edge-zero-weight",
         "edge-vertex-ge-n", "names-wrong-length", "union-empty", "as-matrix-1d",
-        "named-coin-too-large", "grid-from-non-square", "state-m0", "state-n0",
+        "named-coin-too-large", "named-coin-m0", "grid-from-non-square", "state-m0",
+        "state-n0", "state-amplitude-count",
         "subvector-out-of-range", "probabilities-empty", "evolve-negative-t",
         "trajectory-negative-t", "trajectory-p0-length"])
 def test_library_refuses(call, error):
@@ -100,14 +103,21 @@ def test_load_graph_refuses_a_negative_coin(tmp_path):
     (["walk", "{i4}", "{state}", "--steps", "1"], 2, "does not match state dimension"),
     (["walk", "{i4}", "{state}", "--steps", "0"], 2, "does not match state dimension"),
     (["coin", "{coin}"], 1, "unknown coin kind"),
-], ids=["walk-dimension", "walk-dimension-steps-0", "coin-unknown-kind"])
+    (["walk", "{i4}", "{short}", "--steps", "1"], 2, "expected 4 amplitudes, got 3"),
+    (["coin", "{coin_m0}"], 2, "coin dimension must be positive"),
+], ids=["walk-dimension", "walk-dimension-steps-0", "coin-unknown-kind",
+        "walk-amplitude-count", "coin-named-m0"])
 def test_cli_refuses(tmp_path, capsys, argv, code, message):
-    i4, state, coin = (tmp_path / name for name in ("i4.json", "state.json", "coin.json"))
-    fileio.save_matrix(np.eye(4), i4)
-    fileio.save_state(basis_state(2, 4, 0, 0), state)
-    coin.write_text(json.dumps({"m": 1, "n": 4, "kind": "diagonal",
-                                "matrices": [{"rows": 1, "cols": 1, "entries": [[1, 0]]}]}))
-    argv = [a.format(i4=i4, state=state, coin=coin) for a in argv]
+    files = {name: tmp_path / f"{name}.json"
+             for name in ("i4", "state", "coin", "short", "coin_m0")}
+    fileio.save_matrix(np.eye(4), files["i4"])
+    fileio.save_state(basis_state(2, 4, 0, 0), files["state"])
+    files["coin"].write_text(json.dumps({"m": 1, "n": 4, "kind": "diagonal", "matrices": [
+        {"rows": 1, "cols": 1, "entries": [[1, 0]]}]}))
+    files["short"].write_text(json.dumps({"m": 2, "n": 2,
+                                          "amplitudes": [[1, 0], [0, 0], [0, 0]]}))
+    files["coin_m0"].write_text(json.dumps({"m": 0, "n": 4, "kind": "named", "name": "identity"}))
+    argv = [a.format(**files) for a in argv]
     assert main([*argv, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

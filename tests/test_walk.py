@@ -1,4 +1,5 @@
 import pickle
+import re
 import tracemalloc
 from contextlib import contextmanager
 
@@ -12,10 +13,13 @@ from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, right_shif
 from qwalk import (
     DEFAULT_TOL,
     CoinSpec,
+    Edge,
+    MultiGraph,
     PreconditionError,
     ProbabilityVector,
     Tolerance,
     WalkerState,
+    adjacency,
     assemble_shift,
     basis_state,
     classical_trajectory,
@@ -144,6 +148,30 @@ class TestEvolve:
         out = evolve(u, s0, 10)
         oracle = np.linalg.matrix_power(u, 10) @ s0.amplitudes
         assert max_norm(out.amplitudes - oracle) <= 1e-10
+
+    def test_reads_the_operator_once(self, rng):
+        """A float64 U is made complex once per call, not once per step, and
+        walks bit for bit as the complex U; evolution's U keeps its factors."""
+        class Counted:
+            def __init__(self, a):
+                self.a, self.reads = a, 0
+
+            def __array__(self, dtype=None, copy=None):
+                self.reads += 1
+                return self.a.astype(dtype or self.a.dtype)
+
+        u = np.linalg.qr(rng.normal(size=(8, 8)))[0]  # real orthogonal
+        s0 = random_state(2, 4, rng)
+        counted = Counted(u)
+        evolve(counted, s0, 5)
+        assert counted.reads == 1
+        assert np.array_equal(evolve(u, s0, 5).amplitudes,
+                              evolve(u.astype(np.complex128), s0, 5).amplitudes)
+        factored = evolution(decompose_permutations(np.ones((4, 4)) * 2),
+                             CoinSpec.global_coin(haar_unitary(8, rng), 4))
+        with factored_steps() as calls:
+            evolve(factored, random_state(8, 4, rng), 3)
+        assert calls == [(4, 8, 8)] * 3
 
     def test_tolerance_accepted_operator_walks_on(self, rng):
         # residual 8e-11 passes the default tolerance; each step scales the
@@ -334,6 +362,73 @@ def test_classical_walk_builds_no_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n
+
+
+def random_multigraph(rng, n: int, integer: bool) -> MultiGraph:
+    """A random graph with parallel arcs, a self-loop, and undirected edges
+    among them an undirected self-loop, with an arc out of every vertex.
+    Weights are positive integers, or positive and irregular."""
+    def weights(size):
+        return rng.integers(1, 4, size) * 1.0 if integer else rng.random(size) + 0.1
+
+    k = rng.integers(0, 3 * n)
+    tail = np.concatenate([np.arange(n), [0, 0], rng.integers(0, n, k)])
+    head = np.concatenate([rng.integers(0, n, n), [0, 0], rng.integers(0, n, k)])
+    ends = rng.integers(0, n, (rng.integers(0, 2 * n), 2)).tolist() + [[n - 1, n - 1]]
+    edges = [Edge(u, v, w) for (u, v), w in zip(ends, weights(len(ends)))]
+    return MultiGraph.from_columns(n, tail, head, weights(n + 2 + k), np.full(n + 2 + k, -1),
+                                   undirected=edges)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(0, 10), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_graph_walks_as_its_adjacency_property(seed, n, t, integer):
+    """A graph's degrees are its arc sums, a matrix's its row sums: equal
+    for integer weights, and within an ulp or so of each other otherwise."""
+    rng = np.random.default_rng(seed)
+    g = random_multigraph(rng, n, integer)
+    a = adjacency(g)
+    p = rng.random(n)
+    p0 = ProbabilityVector(p / p.sum())
+    got = [d.probs for d in classical_trajectory(g, p0, t)]
+    want = [d.probs for d in classical_trajectory(a, p0, t)]
+    if integer:
+        assert np.array_equal(got, want)
+        assert np.array_equal(classical_transition(g), classical_transition(a))
+    else:
+        assert all(max_norm(x - y) <= 1e-15 * k for k, (x, y) in enumerate(zip(got, want)))
+        assert max_norm(classical_transition(g) - classical_transition(a)) <= 1e-15
+
+
+@pytest.mark.parametrize("n, arcs, p0, message", [
+    (2, [(0, 1, 1j), (1, 0, 1)], [0.5, 0.5], "real nonnegative weights"),
+    (2, [(0, 1, -1), (1, 0, 1)], [0.5, 0.5], "real nonnegative weights"),
+    (3, [(0, 1, 1), (1, 1, 1)], [0.25, 0.25, 0.5], "vertices [2] have zero out-degree"),
+    (2, [(0, 1, 1), (1, 0, 1)], [0.25] * 4, "adjacency dimension 2 does not match p0 length 4"),
+], ids=["complex", "negative", "zero-out-degree", "p0-length"])
+def test_classical_walks_refuse_a_graph(n, arcs, p0, message):
+    tail, head, weight = zip(*arcs)
+    g = MultiGraph.from_columns(n, tail, head, weight, [-1] * len(arcs))
+    with pytest.raises(PreconditionError, match=re.escape(message)):
+        classical_walk(g, ProbabilityVector(p0), 1)
+
+
+def test_classical_walk_on_a_graph_builds_no_dense_matrix():
+    """A 3-regular graph at n = 10^5 walks on its arcs: a dense n x n
+    adjacency would take 80 GB."""
+    n, rng = 10 ** 5, np.random.default_rng(0)
+    head = np.concatenate([rng.permutation(n) for _ in range(3)])
+    g = MultiGraph.from_columns(n, np.tile(np.arange(n), 3), head, np.ones(3 * n),
+                                np.full(3 * n, -1))
+    p0 = ProbabilityVector(np.eye(1, n).ravel())
+    tracemalloc.start()
+    try:
+        p = classical_walk(g, p0, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2 ** 20
+    assert abs(p.probs.sum() - 1) <= 1e-12 and np.count_nonzero(p.probs) > 1000
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 16))

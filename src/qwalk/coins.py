@@ -116,8 +116,9 @@ def named_coin(name: str, m: int) -> ComplexMatrix:
 def _require_unitary_stack(coins, weights, tol: Tolerance, what: str) -> None:
     """Raise NonUnitaryError past ``tol`` on max over k of |C_k† diag(w_k) C_k - I|
     for the (k, m, m) stack C: with weights 1, its unitarity residual."""
-    r = max_norm(coins.conj().transpose(0, 2, 1) @ (weights * coins) - np.eye(coins.shape[1]))
-    if r > tol.abs_eps:
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an inf or NaN residual
+        r = max_norm(coins.conj().transpose(0, 2, 1) @ (weights * coins) - np.eye(coins.shape[1]))
+    if not r <= tol.abs_eps:
         raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
 
 
@@ -187,7 +188,8 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     # einsum, not *, so that each entry is rounded as the einsum above rounds it
     u[np.arange(m * n), :, v] = np.einsum("r,rj->rj", phase, coins[v, i])
     weights = np.empty(m * n)
-    weights[perm] = np.abs(phase) ** 2  # D, the diagonal of S†S
+    with np.errstate(over="ignore"):  # a huge phase: an infinite weight, refused below
+        weights[perm] = np.abs(phase) ** 2  # D, the diagonal of S†S
     weights = weights.reshape(m, n).T[:, :, None]  # (n, m, 1): D of vertex k, coin i
     _require_unitary_stack(coins, weights, tol, "evolution operator")
     u = u.reshape(m * n, m * n)

@@ -26,7 +26,7 @@ import numpy as np
 
 from .coins import CoinSpec, named_coin
 from .errors import FileFormatError, PreconditionError
-from .graphs import Edge, MultiGraph
+from .graphs import MultiGraph
 from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance, as_matrix
 from .shift import KrausGrid
 from .walk import ProbabilityVector, WalkerState
@@ -192,6 +192,7 @@ def _pairs(z):
 
 
 _ARC = {"tail": _FIELD, "head": _FIELD, "w": [_FIELD, _FIELD], "coin": _FIELD}
+_EDGE = {"u": _FIELD, "v": _FIELD, "w": [_FIELD, _FIELD]}
 
 
 def _number_array(items, width: int | None, error: str) -> np.ndarray:
@@ -379,7 +380,6 @@ def load_graph(path) -> MultiGraph:
     if not np.isfinite(weights).all():
         raise FileFormatError("arc and edge weights must be finite")
     weight, edge_w = np.split(weights, [len(w)])
-    undirected = tuple(map(Edge, u.tolist(), v.tolist(), edge_w.tolist()))
     tail, head = _ints("arc tail/head", *tail), _ints("arc tail/head", *head)
     coin = _ints("arc coin", *(-1 if c is None else c for c in coins))  # -1: untagged
     if np.count_nonzero(coin < 0) != coins.count(None):
@@ -388,8 +388,7 @@ def load_graph(path) -> MultiGraph:
     if names is not None and not (isinstance(names, list)
                                   and all(isinstance(x, str) for x in names)):
         raise FileFormatError("graph names must be a list of strings or null")
-    return MultiGraph.from_columns(n, tail, head, weight, coin, undirected,
-                                   tuple(names) if names is not None else None)
+    return MultiGraph.from_columns(n, tail, head, weight, coin, u, v, edge_w, names)
 
 
 def save_graph(g: MultiGraph, path) -> None:
@@ -399,9 +398,9 @@ def save_graph(g: MultiGraph, path) -> None:
         "n": g.n,
         "arcs": _records(_ARC, g.tail.size, lambda i, j: (
             g.tail[i:j], g.head[i:j], g.weight.real[i:j], g.weight.imag[i:j], coin[i:j])),
-        "undirected": [{"u": e.u, "v": e.v, "w": [float(e.weight.real), float(e.weight.imag)]}
-                       for e in g.undirected],
-        "names": list(g.names) if g.names is not None else None,
+        "undirected": _records(_EDGE, g.edge_u.size, lambda i, j: (
+            g.edge_u[i:j], g.edge_v[i:j], g.edge_weight.real[i:j], g.edge_weight.imag[i:j])),
+        "names": g.names,
     }
     _save_json(obj, path)
 

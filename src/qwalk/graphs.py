@@ -63,81 +63,84 @@ class Edge:
             raise PreconditionError("zero-weight edges are not stored")
 
 
-_COLUMNS = ("tail", "head", "weight", "coin")
+_COLUMNS = ("tail", "head", "weight", "coin", "edge_u", "edge_v", "edge_weight")
 
 
 @dataclass(frozen=True, init=False, eq=False)
 class MultiGraph:
     """Vertex count plus arcs and undirected edges; parallel arcs OK.
 
-    Arc k runs from tail[k] to head[k] with weight[k] and coin tag
-    coin[k] (-1: untagged), stored as read-only numpy columns; ``arcs``
-    builds the Arc objects on request. ``==`` compares the content."""
+    Arc k runs from tail[k] to head[k] with weight[k] and coin tag coin[k]
+    (-1: untagged), and edge k joins edge_u[k] and edge_v[k] with
+    edge_weight[k], in read-only numpy columns; ``arcs`` and ``undirected``
+    build the objects on request. ``==`` compares the content."""
 
     n: int
     tail: np.ndarray
     head: np.ndarray
     weight: np.ndarray
     coin: np.ndarray
-    undirected: tuple[Edge, ...]
+    edge_u: np.ndarray
+    edge_v: np.ndarray
+    edge_weight: np.ndarray
     names: tuple[str, ...] | None
 
     def __init__(self, n: int, arcs=(), undirected=(), names=None):
-        arcs = tuple(arcs)
+        arcs, edges = tuple(arcs), tuple(undirected)
         self._hold(n, [a.tail for a in arcs], [a.head for a in arcs], [a.weight for a in arcs],
-                   [-1 if a.coin_tag is None else a.coin_tag for a in arcs], undirected, names)
+                   [-1 if a.coin_tag is None else a.coin_tag for a in arcs],
+                   [e.u for e in edges], [e.v for e in edges], [e.weight for e in edges], names)
 
     @classmethod
     def from_columns(cls, n: int, tail, head, weight, coin,
-                     undirected=(), names=None) -> "MultiGraph":
-        """A graph whose arcs are given as (copied) integer and complex columns."""
+                     edge_u=(), edge_v=(), edge_weight=(), names=None) -> "MultiGraph":
+        """A graph whose arcs and edges are given as (copied) integer and complex columns."""
         g = object.__new__(cls)
-        g._hold(n, tail, head, weight, coin, undirected, names)
+        g._hold(n, tail, head, weight, coin, edge_u, edge_v, edge_weight, names)
         return g
 
-    def _hold(self, n, tail, head, weight, coin, undirected, names) -> None:
-        ints = [np.asarray(c) for c in (tail, head, coin)]
+    def _hold(self, n, tail, head, weight, coin, edge_u, edge_v, edge_weight, names) -> None:
+        ints = [np.asarray(c) for c in (tail, head, coin, edge_u, edge_v)]
         if any(c.size and not np.can_cast(c.dtype, np.int64) for c in ints):  # no float
-            raise PreconditionError("arc endpoints and coin tags must be 64-bit integers")
-        tail, head, coin = (c.astype(np.int64) for c in ints)
-        weight = np.array(weight, dtype=np.complex128)
+            raise PreconditionError("endpoints and coin tags must be 64-bit integers")
+        tail, head, coin, edge_u, edge_v = (c.astype(np.int64) for c in ints)
+        weight, edge_weight = (np.array(w, dtype=np.complex128) for w in (weight, edge_weight))
         if n < 1:
             raise PreconditionError("vertex count must be at least 1")
-        if tail.ndim != 1 or any(c.shape != tail.shape for c in (head, weight, coin)):
-            raise PreconditionError("arc columns must be 1-D and of one length")
-        if np.any((np.minimum(tail, head) < 0) | (np.maximum(tail, head) >= n)):
-            raise PreconditionError(f"an arc references a vertex outside 0..{n - 1}")
-        if np.any(weight == 0):
-            raise PreconditionError("zero-weight arcs are not stored")
+        if (tail.ndim != 1 or any(c.shape != tail.shape for c in (head, weight, coin))
+                or edge_u.ndim != 1 or any(c.shape != edge_u.shape for c in (edge_v, edge_weight))):
+            raise PreconditionError("arc and edge columns must be 1-D and of one length per group")
+        if any(np.any((c < 0) | (c >= n)) for c in (tail, head, edge_u, edge_v)):
+            raise PreconditionError(f"an arc or edge references a vertex outside 0..{n - 1}")
+        if any(np.any(w == 0) for w in (weight, edge_weight)):
+            raise PreconditionError("zero-weight arcs and edges are not stored")
         if np.any(coin < -1):
             raise PreconditionError("coin tags must be nonnegative (-1: untagged)")
-        undirected = tuple(undirected)
-        if not (np.isfinite(weight).all()
-                and np.isfinite([e.weight for e in undirected]).all()):
+        if not all(np.isfinite(w).all() for w in (weight, edge_weight)):
             raise PreconditionError("arc and edge weights must be finite")
-        for e in undirected:
-            if e.u >= n or e.v >= n:
-                raise PreconditionError(f"edge {e} references a vertex >= n={n}")
         if names is not None and len(names) != n:
             raise PreconditionError("names table must have one entry per vertex")
-        for c in (tail, head, weight, coin):
-            c.setflags(write=False)
-        vars(self).update(n=n, tail=tail, head=head, weight=weight, coin=coin,
-                          undirected=undirected, names=names)
+        vars(self).update(zip(_COLUMNS, (tail, head, weight, coin, edge_u, edge_v, edge_weight)),
+                          n=n, names=None if names is None else tuple(names))
+        for c in _COLUMNS:
+            getattr(self, c).setflags(write=False)
 
     @property
     def arcs(self) -> tuple[Arc, ...]:
-        columns = (getattr(self, c).tolist() for c in _COLUMNS)
+        columns = (getattr(self, c).tolist() for c in _COLUMNS[:4])
         return tuple(Arc(t, h, w, None if c < 0 else c) for t, h, w, c in zip(*columns))
 
+    @property
+    def undirected(self) -> tuple[Edge, ...]:
+        return tuple(map(Edge, *(getattr(self, c).tolist() for c in _COLUMNS[4:])))
+
     def __eq__(self, other):
-        return (isinstance(other, MultiGraph) and self.n == other.n
-                and self.undirected == other.undirected and self.names == other.names
+        return (isinstance(other, MultiGraph) and self.n == other.n and self.names == other.names
                 and all(np.array_equal(getattr(self, c), getattr(other, c)) for c in _COLUMNS))
 
     def __hash__(self):  # not of the weights: 0.0 and -0.0 are equal but differ in bytes
-        return hash((self.n, self.tail.tobytes(), self.head.tobytes(), self.coin.tobytes(),
-                     self.undirected, self.names))
+        return hash((self.n, self.names,
+                     *(getattr(self, c).tobytes() for c in _COLUMNS if "weight" not in c)))
 
 
 def adjacency(g: MultiGraph) -> ComplexMatrix:
@@ -170,10 +173,9 @@ def _arc_columns(a) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
             raise PreconditionError("adjacency matrix must be square")
         tail, head = _nonzero(a)
         return a.shape[0], tail, head, a[tail, head]
-    uv = np.array([[e.u, e.v] for e in a.undirected], dtype=np.int64).reshape(-1, 2)
-    w = np.repeat(np.array([e.weight for e in a.undirected], dtype=np.complex128), 2)
+    uv = np.stack([a.edge_u, a.edge_v], axis=1)  # both arcs of each edge, in edge order
     tail, head, weight = _sum_arcs(a.n, [a.tail, uv.ravel()], [a.head, uv[:, ::-1].ravel()],
-                                   [a.weight, w])  # both arcs of each edge, in edge order
+                                   [a.weight, np.repeat(a.edge_weight, 2)])
     keep = weight != 0
     return a.n, tail[keep], head[keep], weight[keep]
 
@@ -211,8 +213,7 @@ def union(graphs) -> MultiGraph:
     if any(g.n != n for g in graphs):
         raise PreconditionError(f"vertex-count mismatch: {[g.n for g in graphs]}")
     return MultiGraph.from_columns(
-        n, *(np.concatenate([getattr(g, c) for g in graphs]) for c in _COLUMNS),
-        undirected=[e for g in graphs for e in g.undirected])
+        n, *(np.concatenate([getattr(g, c) for g in graphs]) for c in _COLUMNS))
 
 
 def from_adjacency(a: ComplexMatrix) -> MultiGraph:

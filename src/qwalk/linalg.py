@@ -83,14 +83,16 @@ def monomial(a: ComplexMatrix) -> tuple[NDArray[np.int64], ComplexMatrix] | None
 
 def unitarity_residual(a: ComplexMatrix) -> float:
     """max-norm of a†a - I; zero iff the columns are orthonormal. Exact
-    and O(N) for monomial matrices, whose a†a is diagonal."""
+    and O(N) for monomial matrices, whose a†a is diagonal. Entries whose
+    products overflow give an inf or NaN residual, with no warning."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     mono = monomial(a)
-    if mono is not None:
-        return max_norm(np.abs(mono[1]) ** 2 - 1.0)
-    return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if mono is not None:
+            return max_norm(np.abs(mono[1]) ** 2 - 1.0)
+        return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
 
 
 def is_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -105,7 +107,7 @@ def require_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL,
     if len(shape) != 2 or shape[0] != shape[1]:
         raise PreconditionError(f"{what} must be a square matrix, got shape {shape}")
     r = unitarity_residual(a)
-    if r > tol.abs_eps:
+    if not r <= tol.abs_eps:  # NaN: an overflow
         raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
     return a
 

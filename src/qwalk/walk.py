@@ -53,11 +53,13 @@ class WalkerState:
         if not np.isfinite(amps).all():
             raise PreconditionError("amplitudes contain NaN or Inf")
         if tol is not None:
-            norm_sq = float(np.sum(np.abs(amps) ** 2))
+            with np.errstate(over="ignore"):  # huge amplitudes: an infinite norm, refused
+                norm_sq = float(np.sum(np.abs(amps) ** 2))
             if abs(norm_sq - 1.0) > tol.abs_eps:
                 raise PreconditionError(
                     f"state is not normalized (|psi|^2 = {norm_sq!r}); "
                     "renormalize explicitly if that is intended")
+            amps = amps.copy()  # the caller may write to its array after the check
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -83,9 +85,11 @@ class ProbabilityVector:
         if not (p.min() >= 0 and p.max() < np.inf):  # NaN fails the first
             raise PreconditionError("probabilities must be finite and nonnegative")
         if tol is not None:
-            total = float(p.sum())
+            with np.errstate(over="ignore"):  # huge probabilities: an infinite sum, refused
+                total = float(p.sum())
             if abs(total - 1.0) > tol.abs_eps:
                 raise PreconditionError(f"probabilities sum to {total!r}, not 1")
+            p = p.copy()  # the caller may write to its array after the check
         p.setflags(write=False)
         object.__setattr__(self, "probs", p)
 
@@ -152,10 +156,13 @@ def _transition_arcs(a) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     n, tail, head, weight = _arc_columns(a)
     if np.any(weight.imag != 0) or weight.real.min(initial=0) < 0:
         raise PreconditionError("classical walks need real nonnegative weights")
-    degrees = (np.bincount(tail, weight.real, n) if isinstance(a, MultiGraph)
-               else np.asarray(a).real.sum(axis=1, dtype=np.float64))  # as D^-1 A sums rows
+    with np.errstate(over="ignore"):  # a row sum past the float range is refused below
+        degrees = (np.bincount(tail, weight.real, n) if isinstance(a, MultiGraph)
+                   else np.asarray(a).real.sum(axis=1, dtype=np.float64))  # as D^-1 A sums rows
     if (zero := degrees == 0).any():
         raise PreconditionError(f"vertices {np.flatnonzero(zero).tolist()} have zero out-degree")
+    if (inf := ~np.isfinite(degrees)).any():
+        raise PreconditionError(f"vertices {np.flatnonzero(inf).tolist()} have infinite out-degree")
     return n, tail, head, weight.real / degrees[tail]
 
 

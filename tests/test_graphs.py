@@ -10,13 +10,18 @@ from qwalk import (
     Edge,
     MultiGraph,
     PreconditionError,
+    ProbabilityVector,
     adjacency,
+    classical_walk,
+    decompose_permutations,
     from_adjacency,
     max_norm,
     split_directed,
     split_undirected,
     union,
+    verify_kraus,
 )
+from qwalk import fileio
 
 
 class TestAdjacency:
@@ -161,9 +166,66 @@ def test_invalid_columns_rejected(columns):
         MultiGraph.from_columns(2, *columns)
 
 
+@pytest.mark.parametrize("edges", [
+    ([0.5], [1], [1.0]),
+    ([0], [2], [1.0]),
+    ([-1], [0], [1.0]),
+    ([0], [1], [0.0]),
+    ([0], [1], [np.nan]),
+    ([0], [1], [complex(1, np.inf)]),
+    ([0, 1], [1], [1.0, 1.0]),
+    ([0], [1], [1.0, 1.0]),
+    ([[0]], [[1]], [[1.0]]),
+], ids=["float-u", "v-n", "u-neg", "zero-weight", "nan-weight", "inf-weight", "ragged-v",
+        "ragged-weight", "2-d"])
+def test_invalid_edge_columns_rejected(edges):
+    with pytest.raises(PreconditionError):
+        MultiGraph.from_columns(2, [], [], [], [], *edges)
+
+
+def test_edges_as_objects_or_columns_build_one_graph():
+    g = MultiGraph(3, undirected=[Edge(0, 1, complex(-0.0, 1.0)), Edge(2, 2)],
+                   names=["a", "b", "c"])
+    h = MultiGraph.from_columns(3, [], [], [], [], [0, 2], [1, 2], [1j, 1.0], names=("a", "b", "c"))
+    assert g == h and hash(g) == hash(h)
+    assert g.undirected == (Edge(0, 1, 1j), Edge(2, 2, 1.0)) and g.names == ("a", "b", "c")
+    assert g != MultiGraph(3, undirected=[Edge(2, 2), Edge(0, 1, 1j)], names=g.names)
+    with pytest.raises(ValueError):
+        g.edge_u[0] = 1  # read-only
+
+
+def test_union_concatenates_edges():
+    g = MultiGraph(3, [Arc(0, 1)], [Edge(0, 2, 2.0)])
+    h = MultiGraph.from_columns(3, [], [], [], [], [1, 2], [1, 0], [1j, complex(-0.0, 1.0)])
+    u = union([g, h])
+    assert u.arcs == g.arcs
+    assert u.undirected == (Edge(0, 2, 2.0), Edge(1, 1, 1j), Edge(2, 0, 1j))
+    assert np.array_equal(adjacency(u), adjacency(g) + adjacency(h))
+
+
+def test_edge_columns_at_scale_build_no_edge(tmp_path, monkeypatch):
+    """Decompose, verify, walk 100 classical steps and save and load the
+    3-regular graph at n = 10^5 made of the cycle and the chords v -- v + n/2,
+    1.5 * 10^5 undirected edges given as columns: no Edge is built."""
+    built, init = [], Edge.__init__
+    monkeypatch.setattr(Edge, "__init__", lambda e, *args: built.append(args) or init(e, *args))
+    n, v, half = 10 ** 5, np.arange(10 ** 5), np.arange(10 ** 5 // 2)
+    g = MultiGraph.from_columns(n, [], [], [], [], np.concatenate([v, half]),
+                                np.concatenate([(v + 1) % n, half + n // 2]), np.ones(3 * n // 2))
+    grid = decompose_permutations(g)
+    assert grid.m == 3 and verify_kraus(g, grid).passed
+    p = classical_walk(g, ProbabilityVector(np.eye(1, n).ravel()), 100)
+    assert abs(p.probs.sum() - 1) <= 1e-12 and np.count_nonzero(p.probs) > 100
+    fileio.save_graph(g, tmp_path / "g.json")
+    assert fileio.load_graph(tmp_path / "g.json") == g
+    assert built == []
+    Edge(0, 1)
+    assert built == [(0, 1)]  # the spy sees a construction
+
+
 def test_equal_graphs_hash_equal():
     g = MultiGraph(3, (Arc(0, 1, complex(-0.0, 1.0)), Arc(2, 2, coin_tag=1)), (Edge(0, 2),))
-    h = MultiGraph.from_columns(3, [0, 2], [1, 2], [1j, 1.0], [-1, 1], (Edge(0, 2),))
+    h = MultiGraph.from_columns(3, [0, 2], [1, 2], [1j, 1.0], [-1, 1], [0], [2], [1.0])
     assert g == h and hash(g) == hash(h)
     assert len({g, h, MultiGraph(3)}) == 2
 

@@ -3,6 +3,10 @@ that no other test reaches, with its exception class, or the exit code
 where the CLI delivers it."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from qwalk import (
     Edge,
     KrausGrid,
     MultiGraph,
+    NonUnitaryError,
     PreconditionError,
     ProbabilityVector,
     WalkerState,
@@ -23,14 +28,17 @@ from qwalk import (
     classical_transition,
     classical_walk,
     decompose_permutations,
+    evolution,
     evolve,
     from_adjacency,
+    is_unitary,
     named_coin,
     union,
     verify_kraus,
 )
 from qwalk import fileio
 from qwalk.cli import main
+from qwalk.linalg import require_unitary
 
 NON_SQUARE = np.ones((2, 3))
 P4 = ProbabilityVector(np.full(4, 0.25))
@@ -121,3 +129,54 @@ def test_cli_refuses(tmp_path, capsys, argv, code, message):
     assert main([*argv, "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err
+
+
+# Finite inputs so large that the arithmetic of their checks overflows.
+HUGE_2X2 = np.full((2, 2), 1e308)
+HALF = ProbabilityVector([0.5, 0.5])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: WalkerState(1, 2, [1e200, 0]), PreconditionError, "not normalized"),
+    (lambda: ProbabilityVector([1e308, 1e308]), PreconditionError, "sum to inf"),
+    (lambda: CoinSpec.global_coin(np.diag([1e200, 1.0]), 2), NonUnitaryError, "residual inf"),
+    (lambda: CoinSpec.global_coin(np.full((2, 2), 1e200), 2), NonUnitaryError, "not unitary"),
+    (lambda: evolution(np.diag([1e200, 1.0]), CoinSpec.global_coin(np.eye(2), 1)),
+     NonUnitaryError, "residual nan"),  # accepted with a NaN residual, warnings aside
+    (lambda: classical_walk(HUGE_2X2, HALF, 1), PreconditionError, "infinite out-degree"),
+    (lambda: classical_walk(from_adjacency(HUGE_2X2), HALF, 1), PreconditionError,
+     "infinite out-degree"),
+    (lambda: classical_transition(HUGE_2X2), PreconditionError, "infinite out-degree"),
+], ids=["state", "distribution", "coin-monomial", "coin-dense", "evolution", "classical-matrix",
+        "classical-graph", "transition-matrix"])
+def test_huge_finite_inputs_are_refused_by_qwalk(call, error, message):
+    # pytest turns numpy's overflow warnings into errors: these must not warn
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("a", [np.diag([1e200, 1.0]), np.full((2, 2), 1e200),
+                               np.array([[1e200, 1e200], [1e200, -1e200]])],
+                         ids=["monomial", "dense", "dense-cancelling"])
+def test_huge_entries_are_not_unitary(a):
+    assert is_unitary(a) is False
+    with pytest.raises(NonUnitaryError):
+        require_unitary(a)
+    grid = KrausGrid.from_matrix(a, 1)
+    report = verify_kraus(None, grid)
+    assert not (report.column_ok or report.row_ok)
+
+
+def test_cli_refuses_an_overflowing_degree_with_one_error_line(tmp_path):
+    """Run as a user runs it, with numpy's warnings shown: stderr is the
+    one error line, and no CSV is written."""
+    adjacency, probs, out = tmp_path / "a.json", tmp_path / "p.json", tmp_path / "c.csv"
+    fileio.save_matrix(HUGE_2X2, adjacency)
+    fileio.save_probability_vector(HALF, probs)
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "qwalk.cli", "classical", str(adjacency),
+                           str(probs), "--steps", "2", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: vertices [0, 1] have infinite out-degree\n"
+    assert proc.stdout == "" and not out.exists()

@@ -9,7 +9,6 @@ from qwalk import (
     DEFAULT_TOL,
     Arc,
     CoinSpec,
-    Edge,
     KrausGrid,
     MultiGraph,
     NonUnitaryError,
@@ -415,13 +414,13 @@ def regular_multigraphs(draw):
             k = int(rng.integers(0, min(counts[u, v], counts[v, u]) // (2 if u == v else 1) + 1))
             counts[u, v] -= k
             counts[v, u] -= k
-            edges += [Edge(u, v)] * k
+            edges += [(u, v)] * k
     tail, head = np.nonzero(counts)
     tail, head = (np.repeat(x, counts[tail, head]) for x in (tail, head))
     order = rng.permutation(tail.size)
+    ends = np.reshape(edges, (-1, 2))[rng.permutation(len(edges))]
     g = MultiGraph.from_columns(n, tail[order], head[order], np.ones(tail.size),
-                                np.full(tail.size, -1),
-                                undirected=[edges[i] for i in rng.permutation(len(edges))])
+                                np.full(tail.size, -1), ends[:, 0], ends[:, 1], np.ones(len(edges)))
     return a, g
 
 

@@ -13,7 +13,6 @@ from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, right_shif
 from qwalk import (
     DEFAULT_TOL,
     CoinSpec,
-    Edge,
     MultiGraph,
     PreconditionError,
     ProbabilityVector,
@@ -77,6 +76,13 @@ class TestWalkerState:
             with pytest.raises(PreconditionError, match=r"^amplitudes contain NaN or Inf$"):
                 WalkerState(1, 2, np.array([bad, 1.0]), tol)
         assert WalkerState(1, 2, np.array([-0.0, 1.0]), None).n == 2
+
+    def test_a_checked_state_holds_its_own_copy(self):
+        a = np.array([1, 0, 0, 0], dtype=np.complex128)
+        checked, computed = WalkerState(2, 2, a), WalkerState(2, 2, a, None)
+        a[0] = 5
+        assert checked.amplitudes.tolist() == [1, 0, 0, 0]
+        assert computed.amplitudes[0] == 5  # computed states are not copied
 
     def test_subvector(self):
         s = basis_state(2, 3, 1, 0)
@@ -219,6 +225,13 @@ class TestProbabilityVector:
                                match=r"^probabilities must be finite and nonnegative$"):
                 ProbabilityVector(np.array(bad), None)
         assert ProbabilityVector(np.array([-0.0, 1.0]), None).n == 2
+
+    def test_a_checked_distribution_holds_its_own_copy(self):
+        p = np.array([0.5, 0.5])
+        checked, computed = ProbabilityVector(p), ProbabilityVector(p, None)
+        p[0] = 5.0
+        assert checked.probs.tolist() == [0.5, 0.5]
+        assert computed.probs[0] == 5.0  # computed values are not copied
 
 
 @pytest.mark.parametrize("make", [
@@ -375,9 +388,9 @@ def random_multigraph(rng, n: int, integer: bool) -> MultiGraph:
     tail = np.concatenate([np.arange(n), [0, 0], rng.integers(0, n, k)])
     head = np.concatenate([rng.integers(0, n, n), [0, 0], rng.integers(0, n, k)])
     ends = rng.integers(0, n, (rng.integers(0, 2 * n), 2)).tolist() + [[n - 1, n - 1]]
-    edges = [Edge(u, v, w) for (u, v), w in zip(ends, weights(len(ends)))]
+    edge_weight = weights(len(ends))
     return MultiGraph.from_columns(n, tail, head, weights(n + 2 + k), np.full(n + 2 + k, -1),
-                                   undirected=edges)
+                                   *np.transpose(ends), edge_weight)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 12), st.integers(0, 10), st.booleans())

@@ -18,7 +18,6 @@ from .linalg import (
     _require_indexable,
     as_matrix,
     max_norm,
-    require_unitary,
 )
 from .shift import KrausGrid
 
@@ -169,7 +168,7 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     is a _Factored array that keeps its factors, so that ``U @ psi`` applies
     it as the coin then the permutation, in O(n m^2).
     Any other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S
-    and the dense check of U. U is read-only either way."""
+    and the same check of U, as a stack of one. U is read-only either way."""
     m, n = spec.m, spec.n
     grid = shift if isinstance(shift, KrausGrid) else KrausGrid.from_matrix(shift, m)
     if grid.m * grid.n != m * n:
@@ -180,8 +179,9 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     if mono is None:
         u = np.einsum("iakb,bkj->iajb", grid.matrix.reshape(m, n, m, n), coins)
         u = u.reshape(m * n, m * n)
+        _require_unitary_stack(u[None], 1.0, tol, "evolution operator")
         u.setflags(write=False)
-        return require_unitary(u, tol, "evolution operator")
+        return u
     perm, phase = mono
     i, v = np.divmod(perm, n)
     u = np.zeros((m * n, m, n), dtype=np.complex128)

@@ -176,6 +176,8 @@ def _arc_columns(a) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     uv = np.stack([a.edge_u, a.edge_v], axis=1)  # both arcs of each edge, in edge order
     tail, head, weight = _sum_arcs(a.n, [a.tail, uv.ravel()], [a.head, uv[:, ::-1].ravel()],
                                    [a.weight, np.repeat(a.edge_weight, 2)])
+    if not np.isfinite(weight).all():  # finite arcs whose sum overflows
+        raise PreconditionError("summed arc and edge weights must be finite")
     keep = weight != 0
     return a.n, tail[keep], head[keep], weight[keep]
 

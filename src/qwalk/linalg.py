@@ -89,10 +89,17 @@ def unitarity_residual(a: ComplexMatrix) -> float:
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     mono = monomial(a)
+    if mono is not None:
+        return _phase_residual(mono[1])
     with np.errstate(over="ignore", invalid="ignore"):
-        if mono is not None:
-            return max_norm(np.abs(mono[1]) ** 2 - 1.0)
         return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
+
+
+def _phase_residual(phase: ComplexMatrix) -> float:
+    """max | |phase|^2 - 1 |, the unitarity residual of a monomial matrix
+    of these phases, and that of its transpose: inf for a huge phase."""
+    with np.errstate(over="ignore"):
+        return max_norm(np.abs(phase) ** 2 - 1.0)
 
 
 def is_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -27,6 +27,7 @@ from .linalg import (
     Tolerance,
     DEFAULT_TOL,
     _nonzero,
+    _phase_residual,
     _require_indexable,
     as_matrix,
     max_norm,
@@ -139,24 +140,6 @@ class KrausGrid:
             return (np.arange(self._s[0].size) % self.n, self._s[0] % self.n), self._s[1]
         index = _nonzero(total := self.block_sum())
         return index, total[index]
-
-    def column_completeness_residual(self) -> float:
-        """max over (j,k) of |sum_i blocks[i][j]^dag blocks[i][k] - I djk|, i.e.
-        of S^dag S - I: zero iff each block column is a complete Kraus set.
-        For a monomial S that is max | |phase|^2 - 1 |, in O(nm)."""
-        if isinstance(self._s, tuple):
-            return max_norm(np.abs(self._s[1]) ** 2 - 1.0)
-        return unitarity_residual(self._s)
-
-    def row_completeness_residual(self) -> float:
-        """max over (j,k) of |sum_i blocks[j][i] blocks[k][i]^dag - I djk|,
-        i.e. of S S^dag - I: completeness of each block row. That is the
-        conjugate of (S^T)^dag S^T - I, so the transpose view of S serves
-        and S is not copied. S^T of a monomial S has the same entries, and
-        the same residual as its columns."""
-        if isinstance(self._s, tuple):
-            return self.column_completeness_residual()
-        return unitarity_residual(self._s.T)
 
 
 @dataclass(frozen=True)
@@ -274,8 +257,9 @@ def verify_kraus(a: ComplexMatrix | MultiGraph | None, grid: KrausGrid,
                  tol: Tolerance = DEFAULT_TOL) -> KrausReport:
     """Check a candidate grid: block sum against the transposed adjacency
     of ``a``, a matrix or a MultiGraph (when given), plus column and row
-    completeness. The block sum is compared on arcs, with no n x n array,
-    and bit-equal to ``max_norm(grid.block_sum() - adjacency.T)``."""
+    completeness, the residuals of S^dag S - I and S S^dag - I. The block
+    sum is compared on arcs, with no n x n array, and bit-equal to
+    ``max_norm(grid.block_sum() - adjacency.T)``."""
     if a is not None:
         n, tail, head, weight = _arc_columns(a)
         if n != grid.n:
@@ -285,8 +269,11 @@ def verify_kraus(a: ComplexMatrix | MultiGraph | None, grid: KrausGrid,
         sum_ok = sum_residual <= tol.abs_eps
     else:
         sum_residual, sum_ok = None, None
-    col_res = grid.column_completeness_residual()
-    row_res = grid.row_completeness_residual()
+    mono = grid.monomial()
+    if mono is not None:  # S^T has the same phases
+        col_res = row_res = _phase_residual(mono[1])
+    else:  # S^dag S - I, and S S^dag - I as the conjugate of (S^T)^dag S^T - I
+        col_res, row_res = unitarity_residual(grid.matrix), unitarity_residual(grid.matrix.T)
     return KrausReport(
         sum_ok=sum_ok,
         column_ok=col_res <= tol.abs_eps,

@@ -763,7 +763,7 @@ FUZZ_COMMANDS = [
 # array; never one that would make numpy allocate much.
 FUZZ_VALUES = st.one_of(
     st.integers(-2, 8), st.sampled_from([10 ** 20, -10 ** 20, 2 ** 63]),
-    st.booleans(), st.none(), st.sampled_from([0.5, -1.0, 1e-7, 2.0]),
+    st.booleans(), st.none(), st.sampled_from([0.5, -1.0, 1e-7, 2.0, 1.7e308, -1.7e308, 1e200]),
     st.text(max_size=3), st.lists(st.integers(-2, 8), max_size=3),
     st.just({}))
 

@@ -305,18 +305,20 @@ def test_certificate_matches_dense_residual(seed, m, n, per_vertex):
             assert accepts(s, spec, tol) == (dense <= tol)
 
 
-@pytest.mark.parametrize("kind, dense_calls", [("monomial", []), ("haar", [(6, 6)])])
-def test_only_a_non_monomial_shift_takes_the_dense_check(rng, monkeypatch, kind, dense_calls):
-    import qwalk.linalg
+@pytest.mark.parametrize("kind, stacks", [("monomial", [(3, 2, 2)]), ("haar", [(1, 6, 6)])])
+def test_only_a_non_monomial_shift_takes_the_dense_check(rng, monkeypatch, kind, stacks):
+    """Both branches certify U by one stack check: the per-vertex coins
+    weighted by S^dag S for a monomial S, else U itself as a stack of one."""
+    import qwalk.coins
     s = monomial_shift(6, rng) if kind == "monomial" else haar_unitary(6, rng)
     spec = random_spec(2, 3, True, rng)
     calls = []
-    residual = qwalk.linalg.unitarity_residual
-    monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
-                        lambda a: calls.append(a.shape) or residual(a))
+    check = qwalk.coins._require_unitary_stack
+    monkeypatch.setattr(qwalk.coins, "_require_unitary_stack",
+                        lambda c, w, tol, what: calls.append(c.shape) or check(c, w, tol, what))
     u = evolution(s, spec)
-    assert calls == dense_calls
-    assert certified_residual(s, spec) == pytest.approx(residual(u), rel=0, abs=1e-14)
+    assert calls == stacks
+    assert certified_residual(s, spec) == pytest.approx(unitarity_residual(u), rel=0, abs=1e-14)
 
 
 @pytest.mark.parametrize("kind", ["permutation", "phased", "haar"])

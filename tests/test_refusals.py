@@ -22,6 +22,7 @@ from qwalk import (
     PreconditionError,
     ProbabilityVector,
     WalkerState,
+    adjacency,
     as_matrix,
     basis_state,
     classical_trajectory,
@@ -134,6 +135,8 @@ def test_cli_refuses(tmp_path, capsys, argv, code, message):
 # Finite inputs so large that the arithmetic of their checks overflows.
 HUGE_2X2 = np.full((2, 2), 1e308)
 HALF = ProbabilityVector([0.5, 0.5])
+OVERFLOWING_S = np.full((2, 2), 1.7e308)  # S (H (x) I) has entries past the float range
+HADAMARD = CoinSpec.global_coin(named_coin("hadamard", 2), 1)
 
 
 @pytest.mark.parametrize("call, error, message", [
@@ -147,8 +150,9 @@ HALF = ProbabilityVector([0.5, 0.5])
     (lambda: classical_walk(from_adjacency(HUGE_2X2), HALF, 1), PreconditionError,
      "infinite out-degree"),
     (lambda: classical_transition(HUGE_2X2), PreconditionError, "infinite out-degree"),
+    (lambda: evolution(OVERFLOWING_S, HADAMARD), NonUnitaryError, "residual nan"),
 ], ids=["state", "distribution", "coin-monomial", "coin-dense", "evolution", "classical-matrix",
-        "classical-graph", "transition-matrix"])
+        "classical-graph", "transition-matrix", "evolution-dense"])
 def test_huge_finite_inputs_are_refused_by_qwalk(call, error, message):
     # pytest turns numpy's overflow warnings into errors: these must not warn
     with pytest.raises(error, match=message):
@@ -167,6 +171,27 @@ def test_huge_entries_are_not_unitary(a):
     assert not (report.column_ok or report.row_ok)
 
 
+def test_a_huge_phase_fails_completeness():
+    grid = KrausGrid._permutation(1, 2, np.array([1, 0]), np.array([1e200, 1], complex))
+    report = verify_kraus(None, grid)  # with no overflow warning
+    assert not (report.column_ok or report.row_ok)
+
+
+@pytest.mark.parametrize("graph", [
+    MultiGraph.from_columns(2, [0, 0], [1, 1], [1e308, 1e308], [-1, -1]),
+    MultiGraph.from_columns(2, [], [], [], [], [0, 1], [1, 0], [1e308, 1e308]),
+], ids=["arcs", "edges"])
+@pytest.mark.parametrize("read", [
+    adjacency,
+    decompose_permutations,
+    lambda g: verify_kraus(g, cycle_shift_grid(2)),
+    lambda g: classical_walk(g, HALF, 1),
+], ids=["adjacency", "decompose", "verify", "classical_walk"])
+def test_every_graph_reader_refuses_weights_that_sum_past_the_float_range(read, graph):
+    with pytest.raises(PreconditionError, match="^summed arc and edge weights must be finite$"):
+        read(graph)
+
+
 def test_cli_refuses_an_overflowing_degree_with_one_error_line(tmp_path):
     """Run as a user runs it, with numpy's warnings shown: stderr is the
     one error line, and no CSV is written."""
@@ -179,4 +204,22 @@ def test_cli_refuses_an_overflowing_degree_with_one_error_line(tmp_path):
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert proc.stderr == "error: vertices [0, 1] have infinite out-degree\n"
+    assert proc.stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["evolve-op", "walk"])
+def test_cli_refuses_an_overflowing_evolution_with_one_error_line(tmp_path, command):
+    """Run as a user runs it, with numpy's warnings shown: stderr is the
+    one error line, and no file is written."""
+    shift, coin, state, out = (tmp_path / name for name in ("s.json", "c.json", "p.json", "out"))
+    fileio.save_matrix(OVERFLOWING_S, shift)
+    fileio.save_coin_spec(HADAMARD, coin)
+    fileio.save_state(basis_state(2, 1, 0, 0), state)
+    argv = ([shift, coin] if command == "evolve-op" else
+            [shift, state, "--coin", coin, "--steps", "2"])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-m", "qwalk.cli", command, *map(str, argv),
+                           "--out", str(out)], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: evolution operator is not unitary (residual nan)\n"
     assert proc.stdout == "" and not out.exists()

@@ -24,6 +24,7 @@ from qwalk import (
     from_adjacency,
     is_unitary,
     max_norm,
+    unitarity_residual,
     verify_kraus,
 )
 from qwalk import shift as shift_module
@@ -122,9 +123,9 @@ class TestDecomposePermutations:
             decompose_permutations(np.full((3, 3), 6148914691236517888.0))
 
     def test_output_satisfies_completeness(self):
-        grid = decompose_permutations(cycle_adjacency(6))
-        assert grid.column_completeness_residual() == 0
-        assert grid.row_completeness_residual() == 0
+        report = verify_kraus(None, decompose_permutations(cycle_adjacency(6)))
+        assert report.column_residual == 0
+        assert report.row_residual == 0
 
 
 class TestPerfectMatching:
@@ -170,6 +171,37 @@ class TestVerifyKraus:
         report = verify_kraus(None, KrausGrid.from_matrix(SWAP, 2))
         assert report.sum_ok is None
         assert report.passed
+
+    def test_reads_a_dense_monomial_grid_once(self, rng, monkeypatch):
+        import qwalk.linalg
+        calls = []
+        detect = qwalk.linalg.monomial
+        for module in (qwalk.linalg, shift_module):
+            monkeypatch.setattr(module, "monomial", lambda s: calls.append(s.shape) or detect(s))
+        s = np.eye(6)[rng.permutation(6)] * np.exp(2j * np.pi * rng.random(6))[:, None]
+        report = verify_kraus(None, KrausGrid.from_matrix(s, 2))
+        assert report.passed
+        assert calls == [(6, 6)]  # the column and the row residual share one scan
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 6),
+       st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_completeness_residuals_are_the_unitarity_residuals_of_s(seed, m, n, spread):
+    """Bit for bit: max | |phase|^2 - 1 | for a monomial S, in permutation
+    form or dense, and otherwise the residuals of S and of S^T."""
+    rng = np.random.default_rng(seed)
+    perm = rng.permutation(m * n)
+    phase = np.exp(2j * np.pi * rng.random(m * n)) * (1 + spread * rng.standard_normal(m * n))
+    phased = KrausGrid._permutation(m, n, perm, phase)
+    expected = max_norm(np.abs(phase) ** 2 - 1.0)
+    for grid in (phased, KrausGrid.from_matrix(phased.matrix, m)):
+        report = verify_kraus(None, grid)
+        assert (report.column_residual, report.row_residual) == (expected, expected)
+    s = haar_unitary(m * n, rng) * (1 + spread * rng.standard_normal((m * n, m * n)))
+    report = verify_kraus(None, KrausGrid.from_matrix(s, m))
+    assert report.column_residual == unitarity_residual(s)
+    assert report.row_residual == unitarity_residual(s.T)
 
 
 class TestAssembleShift:
@@ -284,8 +316,7 @@ def assert_matches_dense_oracle(grid: KrausGrid, rng) -> None:
         assert np.array_equal(grid.block_sum(), dense.block_sum())
     else:
         assert max_norm(grid.block_sum() - dense.block_sum()) <= grid.m * np.finfo(float).eps
-    assert grid.column_completeness_residual() == dense.column_completeness_residual()
-    assert grid.row_completeness_residual() == dense.row_completeness_residual()
+    assert verify_kraus(None, grid) == verify_kraus(None, dense)
     m, n = grid.m, grid.n
     for spec in (CoinSpec.global_coin(haar_unitary(m, rng), n),
                  CoinSpec.per_vertex_coins([haar_unitary(m, rng) for _ in range(n)], m, n)):

@@ -1,23 +1,24 @@
 """Coin operators and the composed one-step evolution operator.
 
 A coin acts on the m-dimensional coin register: one global unitary, lifted
-as C (x) I_n, or a stack of n, entry k steering vertex k. Unitarity is
-checked when the spec is constructed, not at use. U = S (C (x) I_n) of a
-monomial S is built, certified and applied here, from its factors.
+as C (x) I_n, or a stack of n, entry k steering vertex k. linalg's stacked
+unitarity kernel certifies the coins when the spec is built, and U = S (C (x)
+I_n) in both branches; U of a monomial S is built and applied from factors.
 """
 
 from dataclasses import InitVar, dataclass
 
 import numpy as np
 
-from .errors import NonUnitaryError, PreconditionError
+from .errors import PreconditionError
 from .linalg import (
     ComplexMatrix,
     Tolerance,
     DEFAULT_TOL,
     _require_indexable,
+    _require_residual,
+    _stack_residual,
     as_matrix,
-    max_norm,
 )
 from .shift import KrausGrid
 
@@ -53,13 +54,15 @@ class CoinSpec:
         mats = np.array(self.matrices, dtype=np.complex128)  # a copy the caller cannot change
         if not np.isfinite(mats).all():
             raise ValueError("matrix contains NaN or Inf entries")
+        if mats.ndim != 3:
+            raise PreconditionError(f"expected a stack of coin matrices, got shape {mats.shape}")
         if len(mats) not in (1, self.n):
             raise PreconditionError(
                 f"expected 1 or {self.n} coin matrices, got {len(mats)}")
         if mats.shape[1:] != (self.m, self.m):
             raise PreconditionError(
                 f"coin must be {self.m}x{self.m}, got {mats.shape[1:]}")
-        _require_unitary_stack(mats, 1.0, tol, "coin")
+        _require_residual(_stack_residual(mats), tol, "coin")
         mats.setflags(write=False)
         object.__setattr__(self, "matrices", mats)
 
@@ -110,15 +113,6 @@ def named_coin(name: str, m: int) -> ComplexMatrix:
         j, k = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         return np.exp(2j * np.pi * j * k / m) / np.sqrt(m)
     raise PreconditionError(f"unknown coin name {name!r} (choose from {NAMED_COINS})")
-
-
-def _require_unitary_stack(coins, weights, tol: Tolerance, what: str) -> None:
-    """Raise NonUnitaryError past ``tol`` on max over k of |C_k† diag(w_k) C_k - I|
-    for the (k, m, m) stack C: with weights 1, its unitarity residual."""
-    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: an inf or NaN residual
-        r = max_norm(coins.conj().transpose(0, 2, 1) @ (weights * coins) - np.eye(coins.shape[1]))
-    if not r <= tol.abs_eps:
-        raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
 
 
 def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
@@ -179,7 +173,7 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     if mono is None:
         u = np.einsum("iakb,bkj->iajb", grid.matrix.reshape(m, n, m, n), coins)
         u = u.reshape(m * n, m * n)
-        _require_unitary_stack(u[None], 1.0, tol, "evolution operator")
+        _require_residual(_stack_residual(u[None]), tol, "evolution operator")
         u.setflags(write=False)
         return u
     perm, phase = mono
@@ -191,7 +185,7 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     with np.errstate(over="ignore"):  # a huge phase: an infinite weight, refused below
         weights[perm] = np.abs(phase) ** 2  # D, the diagonal of S†S
     weights = weights.reshape(m, n).T[:, :, None]  # (n, m, 1): D of vertex k, coin i
-    _require_unitary_stack(coins, weights, tol, "evolution operator")
+    _require_residual(_stack_residual(coins, weights), tol, "evolution operator")
     u = u.reshape(m * n, m * n)
     u.setflags(write=False)  # its views, _Factored among them, are read-only too
     u = u.view(_Factored)

@@ -88,11 +88,15 @@ def unitarity_residual(a: ComplexMatrix) -> float:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    mono = monomial(a)
-    if mono is not None:
-        return _phase_residual(mono[1])
+    return _stack_residual(a[None]) if (mono := monomial(a)) is None else _phase_residual(mono[1])
+
+
+def _stack_residual(stack, weights=None) -> float:
+    """max over k of |C_k† diag(w_k) C_k - I| for a (k, d, d) stack C and (k, d, 1)
+    weights w (None: unit, no product); overflow gives inf or NaN, no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
+        right = stack if weights is None else weights * stack
+        return max_norm(stack.conj().transpose(0, 2, 1) @ right - np.eye(stack.shape[1]))
 
 
 def _phase_residual(phase: ComplexMatrix) -> float:
@@ -113,10 +117,14 @@ def require_unitary(a: ComplexMatrix, tol: Tolerance = DEFAULT_TOL,
     shape = np.shape(a)
     if len(shape) != 2 or shape[0] != shape[1]:
         raise PreconditionError(f"{what} must be a square matrix, got shape {shape}")
-    r = unitarity_residual(a)
-    if not r <= tol.abs_eps:  # NaN: an overflow
-        raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
+    _require_residual(unitarity_residual(a), tol, what)
     return a
+
+
+def _require_residual(r: float, tol: Tolerance, what: str) -> None:
+    """Refuse ``what`` as not unitary when its residual ``r`` is past ``tol`` or NaN."""
+    if not r <= tol.abs_eps:
+        raise NonUnitaryError(f"{what} is not unitary (residual {r:.3e})", r)
 
 
 def _nonzero(a) -> tuple[NDArray[np.int64], NDArray[np.int64]]:

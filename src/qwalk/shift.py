@@ -29,11 +29,11 @@ from .linalg import (
     _nonzero,
     _phase_residual,
     _require_indexable,
+    _stack_residual,
     as_matrix,
     max_norm,
     monomial,
     require_unitary,
-    unitarity_residual,
 )
 
 __all__ = [
@@ -273,7 +273,7 @@ def verify_kraus(a: ComplexMatrix | MultiGraph | None, grid: KrausGrid,
     if mono is not None:  # S^T has the same phases
         col_res = row_res = _phase_residual(mono[1])
     else:  # S^dag S - I, and S S^dag - I as the conjugate of (S^T)^dag S^T - I
-        col_res, row_res = unitarity_residual(grid.matrix), unitarity_residual(grid.matrix.T)
+        col_res, row_res = _stack_residual(grid.matrix[None]), _stack_residual(grid.matrix.T[None])
     return KrausReport(
         sum_ok=sum_ok,
         column_ok=col_res <= tol.abs_eps,

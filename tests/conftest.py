@@ -51,6 +51,31 @@ def hypercube_adjacency(bits: int) -> np.ndarray:
     return a
 
 
+def oracle_dense_residual(a) -> float:
+    """max|a^dag a - I| written out, an inf or NaN with no warning on overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(a.conj().T @ a - np.eye(a.shape[0]))))
+
+
+def with_huge_entries(a, huge, rng):
+    """``a`` with about a tenth of its entries set to +-huge or +-huge*i."""
+    hit = rng.random(a.shape) < 0.1
+    a[hit] = huge * rng.choice([1, -1, 1j, -1j], size=np.count_nonzero(hit))
+    return a
+
+
+def spy_stack_checks(monkeypatch, calls: list) -> None:
+    """Record in ``calls`` the (stack shape, what) of each check that
+    ``coins`` makes through ``linalg``'s unitarity kernel, in order."""
+    import qwalk.coins
+    residual, require = qwalk.coins._stack_residual, qwalk.coins._require_residual
+    shapes = []
+    monkeypatch.setattr(qwalk.coins, "_stack_residual", lambda stack, weights=None:
+                        shapes.append(stack.shape) or residual(stack, weights))
+    monkeypatch.setattr(qwalk.coins, "_require_residual", lambda r, tol, what:
+                        calls.append((shapes.pop(), what)) or require(r, tol, what))
+
+
 def pair_list(z) -> list:
     return [[float(w.real), float(w.imag)] for w in np.asarray(z).reshape(-1)]
 

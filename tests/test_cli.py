@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, matrix_obj
+from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, matrix_obj, spy_stack_checks
 from qwalk import (
     Arc,
     ProbabilityVector,
@@ -232,12 +232,9 @@ class TestWalk:
         import qwalk.shift
         dense, stacks, certified = [], [], []
         residual, detect = qwalk.linalg.unitarity_residual, qwalk.shift.monomial
-        check = qwalk.coins._require_unitary_stack
+        spy_stack_checks(monkeypatch, stacks)
         monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
                             lambda a: dense.append(a.shape) or residual(a))
-        monkeypatch.setattr(qwalk.coins, "_require_unitary_stack",
-                            lambda c, w, tol, what: stacks.append((c.shape, what))
-                            or check(c, w, tol, what))
         monkeypatch.setattr(qwalk.shift, "monomial",
                             lambda s: certified.append(s.shape) or detect(s))
         op, state, coin = setup
@@ -453,12 +450,10 @@ class TestCompile:
         import qwalk.linalg
         import qwalk.shift
         dense, stacks, rechecks = [], [], []
-        residual, check = qwalk.linalg.unitarity_residual, qwalk.coins._require_unitary_stack
+        residual = qwalk.linalg.unitarity_residual
+        spy_stack_checks(monkeypatch, stacks)
         monkeypatch.setattr(qwalk.linalg, "unitarity_residual",
                             lambda a: dense.append(a.shape) or residual(a))
-        monkeypatch.setattr(qwalk.coins, "_require_unitary_stack",
-                            lambda c, w, tol, what: stacks.append((c.shape, what))
-                            or check(c, w, tol, what))
         for module in (qwalk.cli, qwalk.shift):
             for name in ("assemble_shift", "verify_kraus"):
                 monkeypatch.setattr(module, name, lambda *a, name=name, f=getattr(module, name):

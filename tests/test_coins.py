@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_shift_grid, haar_unitary, right_shift
+from conftest import cycle_shift_grid, haar_unitary, right_shift, spy_stack_checks
 from qwalk import (
     CoinSpec,
     KrausGrid,
@@ -148,6 +150,10 @@ class TestCoinStack:
         assert CoinSpec(2, 3, [H, H, np.eye(2)]).per_vertex
         with pytest.raises(PreconditionError, match="expected 1 or 3 coin matrices, got 2"):
             CoinSpec(2, 3, [H, H])
+        with pytest.raises(PreconditionError, match=r"stack of coin matrices, got shape \(\)"):
+            CoinSpec(1, 1, 1.0)
+        with pytest.raises(PreconditionError, match=r"stack of coin matrices, got shape \(2, 2\)"):
+            CoinSpec(2, 3, np.eye(2))
         with pytest.raises(PreconditionError, match="coin must be 2x2"):
             CoinSpec(2, 3, [np.eye(3)])
         with pytest.raises(ValueError, match="NaN or Inf"):
@@ -309,16 +315,27 @@ def test_certificate_matches_dense_residual(seed, m, n, per_vertex):
 def test_only_a_non_monomial_shift_takes_the_dense_check(rng, monkeypatch, kind, stacks):
     """Both branches certify U by one stack check: the per-vertex coins
     weighted by S^dag S for a monomial S, else U itself as a stack of one."""
-    import qwalk.coins
     s = monomial_shift(6, rng) if kind == "monomial" else haar_unitary(6, rng)
     spec = random_spec(2, 3, True, rng)
     calls = []
-    check = qwalk.coins._require_unitary_stack
-    monkeypatch.setattr(qwalk.coins, "_require_unitary_stack",
-                        lambda c, w, tol, what: calls.append(c.shape) or check(c, w, tol, what))
+    spy_stack_checks(monkeypatch, calls)
     u = evolution(s, spec)
-    assert calls == stacks
+    assert calls == [(shape, "evolution operator") for shape in stacks]
     assert certified_residual(s, spec) == pytest.approx(unitarity_residual(u), rel=0, abs=1e-14)
+
+
+def test_dense_check_of_u_makes_no_extra_copy_of_u(rng):
+    """The dense branch's check needs U, its conjugate, U^dag U, and
+    U^dag U - I with the half-size identity: 3.5 U-sized arrays in all."""
+    s = haar_unitary(600, rng)
+    spec = CoinSpec.global_coin(H, 300)
+    tracemalloc.start()
+    try:
+        u = evolution(s, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.75 * u.nbytes
 
 
 @pytest.mark.parametrize("kind", ["permutation", "phased", "haar"])

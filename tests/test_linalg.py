@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import haar_unitary, oracle_dense_residual, with_huge_entries
 from qwalk import (
     KrausGrid,
     PreconditionError,
@@ -14,7 +15,7 @@ from qwalk import (
     max_norm,
     unitarity_residual,
 )
-from qwalk.linalg import _nonzero, monomial
+from qwalk.linalg import _nonzero, _stack_residual, monomial
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 SWAP = np.array([[1, 0, 0, 0],
@@ -134,10 +135,6 @@ def test_as_matrix_rejects_nan():
         as_matrix(np.array([[np.nan, 0], [0, 1]]))
 
 
-def dense_unitarity_residual(a) -> float:
-    return max_norm(a.conj().T @ a - np.eye(a.shape[0]))
-
-
 def phase_permutation(n: int, rng) -> np.ndarray:
     p = np.zeros((n, n), dtype=np.complex128)
     p[np.arange(n), rng.permutation(n)] = np.exp(2j * np.pi * rng.random(n))
@@ -152,9 +149,9 @@ class TestMonomialUnitarityResidual:
         p = phase_permutation(n, rng)
         p[rng.integers(n), :] *= rng.uniform(0.5, 1.5)
         assert unitarity_residual(p) == pytest.approx(
-            dense_unitarity_residual(p), rel=1e-14, abs=1e-15)
+            oracle_dense_residual(p), rel=1e-14, abs=1e-15)
         assert unitarity_residual(p.conj().T) == pytest.approx(
-            dense_unitarity_residual(p.conj().T), rel=1e-14, abs=1e-15)
+            oracle_dense_residual(p.conj().T), rel=1e-14, abs=1e-15)
 
     def test_scaled_entry(self, rng):
         p = phase_permutation(16, rng)
@@ -164,7 +161,7 @@ class TestMonomialUnitarityResidual:
     def test_two_nonzeros_in_a_row_take_dense_path(self):
         # n nonzeros but row 1 is empty: the monomial formula would give 0
         a = np.array([[1, 1, 0], [0, 0, 0], [0, 0, 1]], dtype=np.complex128)
-        assert unitarity_residual(a) == dense_unitarity_residual(a) == 1.0
+        assert unitarity_residual(a) == oracle_dense_residual(a) == 1.0
         assert monomial(a) is None
         assert monomial(a.T) is None  # n nonzeros, column 1 empty
 
@@ -179,6 +176,35 @@ class TestMonomialUnitarityResidual:
         assert max_norm(gram - np.diag(gram.diagonal())) == 0
         assert monomial(H) is None
         assert monomial(np.ones((2, 3))) is None  # not square
+
+
+def oracle_stack_residual(c, weights=1.0) -> float:
+    with np.errstate(over="ignore", invalid="ignore"):
+        return max_norm(c.conj().transpose(0, 2, 1) @ (weights * c) - np.eye(c.shape[1]))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 40),
+       st.sampled_from([None, 1e200, 1.7e308]))
+@settings(max_examples=80, deadline=None)
+def test_stack_kernel_is_the_dense_and_stacked_formulas(seed, k, d, huge):
+    """Bit for bit (or both NaN), with no warning when products overflow:
+    the kernel on a stack of one is max|a^dag a - I|, and on a stack, with
+    or without weights, max|C^dag (w C) - I|."""
+    rng = np.random.default_rng(seed)
+    c = np.stack([haar_unitary(d, rng) for _ in range(k)])
+    c *= 1 + 1e-9 * rng.standard_normal(c.shape)
+    weights = rng.uniform(0.5, 2.0, size=(k, d, 1))
+    if huge is not None:
+        c = with_huge_entries(c, huge, rng)
+        weights[0, 0, 0] = np.inf
+    assert np.array_equal(_stack_residual(c), oracle_stack_residual(c), equal_nan=True)
+    assert np.array_equal(_stack_residual(c, weights), oracle_stack_residual(c, weights),
+                          equal_nan=True)
+    for a in c:
+        expected = oracle_dense_residual(a)
+        assert np.array_equal(_stack_residual(a[None]), expected, equal_nan=True)
+        if monomial(a) is None:
+            assert np.array_equal(unitarity_residual(a), expected, equal_nan=True)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.integers(1, 9), st.booleans())

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (cycle_adjacency, cycle_shift_grid, haar_unitary, hypercube_adjacency,
-                      right_shift)
+                      oracle_dense_residual, right_shift, with_huge_entries)
 from qwalk import (
     DEFAULT_TOL,
     Arc,
@@ -183,13 +183,30 @@ class TestVerifyKraus:
         assert report.passed
         assert calls == [(6, 6)]  # the column and the row residual share one scan
 
+    def test_reads_a_dense_grid_once(self, rng, monkeypatch):
+        """A dense S that is not monomial is scanned for monomial structure
+        once, by its grid, and not checked for NaN/Inf again: its grid did
+        that when it was built."""
+        import qwalk.linalg
+        grid = KrausGrid.from_matrix(haar_unitary(24, rng), 3)
+        calls = {"monomial": 0, "as_matrix": 0}
+        for name in calls:
+            f = getattr(qwalk.linalg, name)
+            for module in (qwalk.linalg, shift_module):
+                monkeypatch.setattr(module, name, lambda *a, name=name, f=f:
+                                    calls.update({name: calls[name] + 1}) or f(*a))
+        assert verify_kraus(None, grid).passed
+        assert calls == {"monomial": 1, "as_matrix": 0}
+
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 6),
-       st.sampled_from([0.0, 1e-12, 1e-6, 1.0]))
+       st.sampled_from([0.0, 1e-12, 1e-6, 1.0]), st.sampled_from([None, 1e200, 1.7e308]))
 @settings(max_examples=60, deadline=None)
-def test_completeness_residuals_are_the_unitarity_residuals_of_s(seed, m, n, spread):
+def test_completeness_residuals_are_the_unitarity_residuals_of_s(seed, m, n, spread, huge):
     """Bit for bit: max | |phase|^2 - 1 | for a monomial S, in permutation
-    form or dense, and otherwise the residuals of S and of S^T."""
+    form or dense, and otherwise the residuals of S and of S^T, both as
+    ``unitarity_residual`` gives them and as max|a^dag a - I| written out:
+    equal, or both NaN, with no warning when entries overflow."""
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m * n)
     phase = np.exp(2j * np.pi * rng.random(m * n)) * (1 + spread * rng.standard_normal(m * n))
@@ -199,9 +216,14 @@ def test_completeness_residuals_are_the_unitarity_residuals_of_s(seed, m, n, spr
         report = verify_kraus(None, grid)
         assert (report.column_residual, report.row_residual) == (expected, expected)
     s = haar_unitary(m * n, rng) * (1 + spread * rng.standard_normal((m * n, m * n)))
-    report = verify_kraus(None, KrausGrid.from_matrix(s, m))
-    assert report.column_residual == unitarity_residual(s)
-    assert report.row_residual == unitarity_residual(s.T)
+    if huge is not None:
+        s = with_huge_entries(s, huge, rng)
+    grid = KrausGrid.from_matrix(s, m)
+    report = verify_kraus(None, grid)
+    for got, a in ((report.column_residual, s), (report.row_residual, s.T)):
+        assert np.array_equal(got, unitarity_residual(a), equal_nan=True)
+        if grid.monomial() is None:  # not 1 x 1
+            assert np.array_equal(got, oracle_dense_residual(a), equal_nan=True)
 
 
 class TestAssembleShift:

@@ -27,11 +27,9 @@ from qwalk.fileio import write_distribution_csv
 
 
 def cycle_grid(n: int) -> KrausGrid:
-    r = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        r[(i + 1) % n, i] = 1
-    zero = np.zeros_like(r)
-    return KrausGrid(2, n, ((r.T, zero), (zero, r)))
+    """The shift of C_n: coin 0 moves the walker to v - 1, coin 1 to v + 1."""
+    v = np.arange(n)
+    return KrausGrid.from_permutation(2, n, np.concatenate([(v + 1) % n, n + (v - 1) % n]))
 
 
 def main() -> None:

@@ -3,7 +3,8 @@
 A coin acts on the m-dimensional coin register: one global unitary, lifted
 as C (x) I_n, or a stack of n, entry k steering vertex k. linalg's stacked
 unitarity kernel certifies the coins when the spec is built, and U = S (C (x)
-I_n) in both branches; U of a monomial S is built and applied from factors.
+I_n) in both branches; U of a monomial S is built and applied from factors,
+a global coin as one BLAS product with the vertices as its long side.
 """
 
 from dataclasses import InitVar, dataclass
@@ -129,11 +130,12 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
 
 
 class _Factored(np.ndarray):
-    """Dense U as ``evolution`` returns it for a monomial S, with the (perm,
-    phase, coins) it was scattered from in ``_factors``, coins the (n, m, m)
-    stack: ``U @ x`` for a 1-D x of U's size is phase * (coin step of x)[perm].
-    Arrays numpy derives from it (view, copy, slice, ufunc result, unpickled
-    copy) have ``_factors`` None and multiply densely, as ``np.matmul`` does."""
+    """Dense U as ``evolution`` returns it for a monomial S, with the (index,
+    phase, coins) it was scattered from in ``_factors``, coins the stack as
+    the spec holds it: ``U @ x`` for a 1-D x of U's size is phase *
+    _coin_step(coins, x)[index], the coin then the permutation. Arrays numpy
+    derives from it (view, copy, slice, ufunc result, unpickled copy) have
+    ``_factors`` None and multiply densely, as ``np.matmul`` does."""
 
     def __array_finalize__(self, obj):
         self._factors = None
@@ -141,10 +143,20 @@ class _Factored(np.ndarray):
     def __matmul__(self, x):
         if self._factors is None or getattr(x, "shape", None) != self.shape[:1]:
             return super().__matmul__(x)
-        perm, phase, coins = self._factors
-        n, m, _ = coins.shape  # U's own split: a state of any split is a vector
-        coined = np.einsum("kij,jk->ik", coins, x.reshape(m, n))
-        return phase * coined.reshape(-1)[perm]
+        index, phase, coins = self._factors
+        return phase * _coin_step(coins, x)[index]
+
+
+def _coin_step(coins: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The coin applied to the coin-major x of m n amplitudes, flat: a (1, m, m)
+    stack C gives the vertex-major (x.reshape(m, n).T @ C.T), entry v m + i,
+    one BLAS product with the n vertices as its long side; an (n, m, m) stack
+    gives the coin-major einsum, entry i n + v being sum_j C_v[i, j] x[j n + v].
+    The state is a vector here, so a state of any split takes U's own."""
+    m = coins.shape[1]
+    if len(coins) == 1:
+        return (x.reshape(m, -1).T @ coins[0].T).reshape(-1)
+    return np.einsum("kij,jk->ik", coins, x.reshape(m, -1)).reshape(-1)
 
 
 def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
@@ -160,7 +172,8 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     block-diagonal by vertex, and the residual of U is the max over k of
     |C_k† diag(D[i n + k] for i < m) C_k - I|, in O(N m + n m^3). That U
     is a _Factored array that keeps its factors, so that ``U @ psi`` applies
-    it as the coin then the permutation, in O(n m^2).
+    it as the coin then the permutation, in O(n m^2): a global coin as one
+    (n, m) x (m, m) product, per-vertex coins as one einsum.
     Any other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S
     and the same check of U, as a stack of one. U is read-only either way."""
     m, n = spec.m, spec.n
@@ -189,5 +202,6 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     u = u.reshape(m * n, m * n)
     u.setflags(write=False)  # its views, _Factored among them, are read-only too
     u = u.view(_Factored)
-    u._factors = (perm, phase, coins)
+    index = perm if spec.per_vertex else v * m + i  # _coin_step's entry of coin i at vertex v
+    u._factors = (index, phase, spec.matrices)
     return u

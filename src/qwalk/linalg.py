@@ -96,7 +96,9 @@ def _stack_residual(stack, weights=None) -> float:
     weights w (None: unit, no product); overflow gives inf or NaN, no warning."""
     with np.errstate(over="ignore", invalid="ignore"):
         right = stack if weights is None else weights * stack
-        return max_norm(stack.conj().transpose(0, 2, 1) @ right - np.eye(stack.shape[1]))
+        gram = stack.conj().transpose(0, 2, 1) @ right
+        gram.reshape(len(gram), -1)[:, ::stack.shape[1] + 1] -= 1  # the diagonal; x - 0.0 is x
+        return max_norm(gram)
 
 
 def _phase_residual(phase: ComplexMatrix) -> float:

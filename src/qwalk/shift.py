@@ -79,6 +79,26 @@ class KrausGrid:
         self._hold(m, n, as_matrix(b.transpose(0, 2, 1, 3).reshape(m * n, m * n)))
 
     @classmethod
+    def from_permutation(cls, m: int, n: int, perm, phase=None) -> "KrausGrid":
+        """The grid of the monomial S with (S x)[r] = phase[r] x[perm[r]],
+        held in permutation form with no dense array: ``perm`` a 1-D integer
+        permutation of range(nm), ``phase`` nm finite entries (None: ones).
+        Both are copied, so the caller may change its arrays afterwards."""
+        if m < 1 or n < 1:
+            raise PreconditionError("grid dimensions must be positive")
+        try:
+            perm = np.array(perm)
+            phase = np.array(np.ones(m * n) if phase is None else phase, dtype=np.complex128)
+        except (TypeError, ValueError) as exc:  # ragged or not numeric
+            raise PreconditionError("perm and phase must be numeric arrays") from exc
+        if (perm.ndim != 1 or perm.dtype.kind not in "iu"
+                or not np.array_equal(np.sort(perm), np.arange(m * n))):
+            raise PreconditionError(f"perm must be an integer permutation of range({m * n})")
+        if phase.shape != (m * n,) or not np.isfinite(phase).all():
+            raise PreconditionError(f"phase must be {m * n} finite entries")
+        return cls._permutation(m, n, perm.astype(np.int64, copy=False), phase)
+
+    @classmethod
     def _permutation(cls, m: int, n: int, perm: np.ndarray,
                      phase: ComplexMatrix) -> "KrausGrid":
         """The grid of the monomial S with (S x)[r] = phase[r] x[perm[r]];

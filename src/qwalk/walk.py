@@ -3,6 +3,10 @@ classical random-walk baseline used as a comparison oracle.
 
 Amplitude layout is coin-major: index = coin * n + vertex, so the state
 vector is m stacked position subvectors of length n.
+
+A multi-step call (``evolve``, ``classical_walk``) steps plain arrays and
+checks only the value it returns; ``step`` and ``classical_trajectory``
+check each value they return.
 """
 
 from collections.abc import Iterator
@@ -110,25 +114,26 @@ def basis_state(m: int, n: int, coin: int, vertex: int) -> WalkerState:
 
 
 def step(u: ComplexMatrix, s: WalkerState) -> WalkerState:
-    """Apply the evolution operator once, as ``U @ psi``: the U that
-    ``coins.evolution`` builds for a monomial S applies itself from its
-    factors. U is not scanned: a NaN/Inf in it reaches the product
-    (NaN*x, Inf*0 are NaN), which WalkerState rejects."""
-    u = np.asanyarray(u, dtype=np.complex128)
-    if u.shape != (s.m * s.n, s.m * s.n):
-        raise PreconditionError(
-            f"operator shape {u.shape} does not match state dimension {s.m * s.n}")
-    return WalkerState(s.m, s.n, u @ s.amplitudes, None)
+    """Apply the evolution operator once: ``evolve(u, s, 1)``."""
+    return evolve(u, s, 1)
 
 
 def evolve(u: ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:
-    """t successive steps; t = 0 returns the initial state."""
+    """t successive steps psi <- U @ psi; t = 0 returns the initial state.
+    The U that ``coins.evolution`` builds for a monomial S applies itself
+    from its factors. U is read once and not scanned, and only the state
+    returned is checked: a NaN/Inf in U reaches the product (NaN*x, Inf*0
+    are NaN) and never turns finite again, so WalkerState rejects it."""
     if t < 0:
         raise PreconditionError("step count must be nonnegative")
-    u, s = np.asanyarray(u, dtype=np.complex128), s0  # read once; U keeps its factors
+    u = np.asanyarray(u, dtype=np.complex128)  # read once; U keeps its factors
+    if u.shape != (s0.m * s0.n, s0.m * s0.n):
+        raise PreconditionError(
+            f"operator shape {u.shape} does not match state dimension {s0.m * s0.n}")
+    amps = s0.amplitudes
     for _ in range(t):
-        s = step(u, s)
-    return s
+        amps = u @ amps
+    return WalkerState(s0.m, s0.n, amps, None)
 
 
 def measure_position(s: WalkerState) -> ProbabilityVector:
@@ -166,16 +171,22 @@ def _transition_arcs(a) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     return n, tail, head, weight.real / degrees[tail]
 
 
-def classical_trajectory(a: ComplexMatrix | MultiGraph, p0: ProbabilityVector,
-                         t: int) -> Iterator[ProbabilityVector]:
-    """Yield the distributions after 0, 1, ..., t steps of the update
-    rule P <- M^T P, each a gather over the arcs of M in O(n + nnz). They
-    are not checked for their sum: rounding drift must not abort a walk."""
+def _classical_arcs(a, p0: ProbabilityVector, t: int):
+    """``_transition_arcs(a)``, once t and the length of p0 are checked."""
     if t < 0:
         raise PreconditionError("step count must be nonnegative")
     n, tail, head, weight = _transition_arcs(a)
     if n != p0.n:
         raise PreconditionError(f"adjacency dimension {n} does not match p0 length {p0.n}")
+    return n, tail, head, weight
+
+
+def classical_trajectory(a: ComplexMatrix | MultiGraph, p0: ProbabilityVector,
+                         t: int) -> Iterator[ProbabilityVector]:
+    """Yield the distributions after 0, 1, ..., t steps of the update
+    rule P <- M^T P, each a gather over the arcs of M in O(n + nnz). They
+    are not checked for their sum: rounding drift must not abort a walk."""
+    n, tail, head, weight = _classical_arcs(a, p0, t)
     yield p0
     for _ in range(t):
         p0 = ProbabilityVector(np.bincount(head, weight * p0.probs[tail], n), None)
@@ -184,7 +195,11 @@ def classical_trajectory(a: ComplexMatrix | MultiGraph, p0: ProbabilityVector,
 
 def classical_walk(a: ComplexMatrix | MultiGraph, p0: ProbabilityVector,
                    t: int) -> ProbabilityVector:
-    """Distribution after t steps of the update rule P <- M^T P."""
-    for dist in classical_trajectory(a, p0, t):
-        pass
-    return dist
+    """Distribution after t steps of the update rule P <- M^T P, the last
+    that ``classical_trajectory`` yields. Only that one is checked: the
+    weights are nonzero, so a NaN/Inf never turns finite again."""
+    n, tail, head, weight = _classical_arcs(a, p0, t)
+    p = p0.probs
+    for _ in range(t):
+        p = np.bincount(head, weight * p[tail], n)
+    return ProbabilityVector(p, None)

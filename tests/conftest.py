@@ -34,10 +34,10 @@ def right_shift(n: int) -> np.ndarray:
 
 def cycle_shift_grid(n: int) -> KrausGrid:
     """Block-diagonal grid for the cycle: stored blocks R^T and L^T with
-    R the right cyclic shift and L = R^T."""
-    r = right_shift(n)
-    zero = np.zeros((n, n), dtype=np.complex128)
-    return KrausGrid(2, n, ((r.T, zero), (zero, r)))
+    R the right cyclic shift and L = R^T, in permutation form:
+    (S x)[v] is x[v + 1] on coin 0 and x[v - 1] on coin 1."""
+    v = np.arange(n)
+    return KrausGrid.from_permutation(2, n, np.concatenate([(v + 1) % n, n + (v - 1) % n]))
 
 
 def hypercube_adjacency(bits: int) -> np.ndarray:

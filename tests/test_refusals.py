@@ -100,6 +100,28 @@ def test_library_refuses(call, error):
         call()
 
 
+@pytest.mark.parametrize("args, message", [
+    ((0, 2, [0, 1]), "grid dimensions must be positive"),
+    ((1, 2, [0.0, 1.0]), "integer permutation of range"),
+    ((1, 2, [True, False]), "integer permutation of range"),
+    ((1, 1, 0), "integer permutation of range"),
+    ((1, 2, [[0, 1]]), "integer permutation of range"),
+    ((1, 3, [0, 1]), "integer permutation of range"),
+    ((1, 3, [0, 0, 2]), "integer permutation of range"),
+    ((1, 2, [1, 2]), "integer permutation of range"),
+    ((1, 2, [[0], [1, 2]]), "numeric arrays"),
+    ((1, 2, [1, 0], [1]), "phase must be 2 finite entries"),
+    ((1, 2, [1, 0], [1, np.nan]), "phase must be 2 finite entries"),
+    ((1, 2, [1, 0], [1, complex(0, np.inf)]), "phase must be 2 finite entries"),
+    ((1, 2, [1, 0], ["a", "b"]), "numeric arrays"),
+], ids=["m0", "float-perm", "bool-perm", "scalar-perm", "2d-perm", "short-perm",
+        "repeated-perm", "perm-out-of-range", "ragged-perm", "short-phase", "nan-phase",
+        "inf-phase", "text-phase"])
+def test_from_permutation_refuses(args, message):
+    with pytest.raises(PreconditionError, match=message):
+        KrausGrid.from_permutation(*args)
+
+
 def test_load_graph_refuses_a_negative_coin(tmp_path):
     path = tmp_path / "g.json"
     path.write_text(json.dumps({"n": 2, "arcs": [{"tail": 0, "head": 1, "w": [1, 0],

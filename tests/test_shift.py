@@ -226,6 +226,25 @@ def test_completeness_residuals_are_the_unitarity_residuals_of_s(seed, m, n, spr
             assert np.array_equal(got, oracle_dense_residual(a), equal_nan=True)
 
 
+@pytest.mark.parametrize("phased", [False, True])
+def test_from_permutation_holds_a_copy_of_s_in_permutation_form(rng, phased):
+    """S[r, perm[r]] = phase[r], unit phases for None, from read-only copies:
+    the caller's arrays stay writable and changing them changes nothing."""
+    m, n = 3, 4
+    perm = rng.permutation(m * n).astype(np.int32)
+    phase = np.exp(2j * np.pi * rng.random(m * n)) if phased else None
+    grid = KrausGrid.from_permutation(m, n, perm, phase)
+    dense = np.zeros((m * n, m * n), dtype=np.complex128)
+    dense[np.arange(m * n), perm] = 1 if phase is None else phase
+    assert isinstance(grid._s, tuple)
+    assert grid._s[0].dtype == np.int64 and grid._s[1].dtype == np.complex128
+    assert np.array_equal(grid.matrix, dense)
+    assert perm.flags.writeable and (phase is None or phase.flags.writeable)
+    perm[:] = np.arange(m * n)
+    assert np.array_equal(grid.matrix, dense)
+    assert not (grid._s[0].flags.writeable or grid._s[1].flags.writeable)
+
+
 class TestAssembleShift:
     def test_cycle_grid(self):
         shift = assemble_shift(cycle_shift_grid(4))

@@ -1,7 +1,11 @@
+import os
 import pickle
 import re
+import subprocess
+import sys
 import tracemalloc
 from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,7 +181,18 @@ class TestEvolve:
                              CoinSpec.global_coin(haar_unitary(8, rng), 4))
         with factored_steps() as calls:
             evolve(factored, random_state(8, 4, rng), 3)
-        assert calls == [(4, 8, 8)] * 3
+        assert calls == [(1, 8, 8)] * 3
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    @pytest.mark.parametrize("t", [1, 2, 7])
+    def test_non_finite_operator_entry_raises_after_any_steps(self, bad, t):
+        """Only the state returned is checked; a non-finite entry never
+        turns finite again, so every t raises as one step does."""
+        u = np.roll(np.eye(8, dtype=np.complex128), 1, axis=0)  # x[r - 1] to r
+        u[3, 2] = bad  # times psi[2] = 0 it is NaN: psi is not finite from step 1 on
+        with pytest.raises(PreconditionError, match="^amplitudes contain NaN or Inf$"):
+            evolve(u, basis_state(2, 4, 0, 0), t)
 
     def test_tolerance_accepted_operator_walks_on(self, rng):
         # residual 8e-11 passes the default tolerance; each step scales the
@@ -470,17 +485,17 @@ def test_classical_reduction_identity_coin():
 
 @contextmanager
 def factored_steps():
-    """Record the coin stack of every step that applies U as coin then
-    permutation (the einsum of ``step``'s factored kernel)."""
-    calls, einsum = [], np.einsum
+    """Record the coin stack, as the spec holds it, of every step that
+    applies U as coin then permutation (``coins._coin_step``)."""
+    import qwalk.coins
+    calls, kernel = [], qwalk.coins._coin_step
 
-    def spy(subscripts, *operands, **kwargs):
-        if subscripts == "kij,jk->ik":
-            calls.append(operands[0].shape)
-        return einsum(subscripts, *operands, **kwargs)
+    def spy(coins, x):
+        calls.append(coins.shape)
+        return kernel(coins, x)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(np, "einsum", spy)
+        mp.setattr(qwalk.coins, "_coin_step", spy)
         yield calls
 
 
@@ -512,10 +527,82 @@ def test_factored_step_matches_dense_property(seed, d, n, decomposed, per_vertex
     s0 = random_state(d, n, rng)
     with factored_steps() as calls:
         factored = evolve(u, s0, t)
-        assert calls == [(n, d, d)] * t
+        assert calls == [(n if per_vertex else 1, d, d)] * t
         dense = evolve(np.asarray(u), s0, t)
         assert len(calls) == t
     assert max_norm(factored.amplitudes - dense.amplitudes) <= 1e-12
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_factored_step_is_its_kernel_formula_property(seed, m, n, per_vertex):
+    """Bit for bit, with perm = i n + v: a global coin C steps as phase *
+    (x.reshape(m, n).T @ C.T).reshape(-1)[v m + i], one product with the
+    vertices as its long side, and n > 1 per-vertex coins as phase *
+    einsum("kij,jk->ik", coins, x.reshape(m, n)).reshape(-1)[perm]. Both
+    are within 1e-12 of dense U."""
+    rng = np.random.default_rng(seed)
+    perm, phase = rng.permutation(m * n), np.exp(2j * np.pi * rng.random(m * n))
+    shift = np.zeros((m * n, m * n), dtype=np.complex128)
+    shift[np.arange(m * n), perm] = phase
+    coins = [haar_unitary(m, rng) for _ in range(n)]
+    spec = (CoinSpec.per_vertex_coins(coins, m, n) if per_vertex
+            else CoinSpec.global_coin(coins[0], n))
+    u = evolution(shift, spec)
+    x = random_state(m, n, rng).amplitudes
+    if spec.per_vertex:
+        oracle = phase * np.einsum("kij,jk->ik", spec.matrices, x.reshape(m, n)).reshape(-1)[perm]
+    else:
+        i, v = np.divmod(perm, n)
+        oracle = phase * (x.reshape(m, n).T @ spec.matrices[0].T).reshape(-1)[v * m + i]
+    got = step(u, WalkerState(m, n, x)).amplitudes
+    assert got.tobytes() == oracle.tobytes()
+    assert max_norm(got - np.asarray(u) @ x) <= 1e-12
+
+
+def test_global_coin_kernel_bytes_do_not_depend_on_blas_threads():
+    """The product splits the n = 10^5 vertices, not the m = 3 coin rows,
+    across BLAS threads; one thread and two give the same bytes."""
+    code = ("import hashlib, numpy as np; from qwalk.coins import _coin_step\n"
+            "rng = np.random.default_rng(7)\n"
+            "c = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]\n"
+            "x = rng.normal(size=300000) + 1j * rng.normal(size=300000)\n"
+            "print(hashlib.md5(_coin_step(c[None], x).tobytes()).hexdigest())")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout)
+    assert digests[0] == digests[1]
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 12), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_multi_step_calls_return_the_last_step_property(seed, n, t, per_vertex):
+    """Bit for bit: ``classical_walk`` is the last distribution that
+    ``classical_trajectory`` yields, on a matrix and on a graph, and
+    ``evolve(u, s, t)`` is t calls of ``step``, factored and dense."""
+    rng = np.random.default_rng(seed)
+    for a in (random_digraph(rng, n, False), random_multigraph(rng, n, False)):
+        p = rng.random(n)
+        p0 = ProbabilityVector(p / p.sum())
+        *_, last = classical_trajectory(a, p0, t)
+        assert classical_walk(a, p0, t).probs.tobytes() == last.probs.tobytes()
+    m = 3
+    shift = assemble_shift(decompose_permutations(
+        sum(np.eye(n)[rng.permutation(n)] for _ in range(m))))
+    coins = [haar_unitary(m, rng) for _ in range(n)]
+    spec = (CoinSpec.per_vertex_coins(coins, m, n) if per_vertex
+            else CoinSpec.global_coin(coins[0], n))
+    for u in (evolution(shift, spec), haar_unitary(m * n, rng)):
+        s0 = s = random_state(m, n, rng)
+        for _ in range(t):
+            s = step(u, s)
+        assert evolve(u, s0, t).amplitudes.tobytes() == s.amplitudes.tobytes()
 
 
 def test_hadamard_walk_spreads_ballistically():

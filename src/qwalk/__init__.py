@@ -34,6 +34,7 @@ from .coins import (
     named_coin,
     coin_matrix,
     evolution,
+    WalkOperator,
 )
 from .walk import (
     WalkerState,

@@ -22,7 +22,7 @@ from .errors import FileFormatError, NonUnitaryError, PreconditionError
 from .linalg import DEFAULT_TOL, Tolerance, require_unitary
 from .shift import (_extract, _family_dims, assemble_shift, decompose_permutations,
                     extract_graph, verify_kraus)
-from .walk import classical_trajectory, measure_position, step
+from .walk import classical_trajectory, evolve, measure_position, step
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -104,14 +104,9 @@ def cmd_walk(args) -> int:
         operator = evolution(operator, spec, args.tol)  # checks U, so S
     else:
         require_unitary(operator, args.tol, "walk operator")
-    if operator.shape[0] != state.m * state.n:
-        raise PreconditionError(
-            f"operator dimension {operator.shape[0]} does not match state "
-            f"dimension {state.m * state.n}")
     dists = []
     for t in range(args.steps + 1):
-        if t > 0:
-            state = step(operator, state)
+        state = step(operator, state) if t else evolve(operator, state, 0)  # t = 0: checks sizes
         if args.trajectory or t == args.steps:
             dists.append((t, measure_position(state).probs))
     fileio.write_distribution_csv(dists, args.out)

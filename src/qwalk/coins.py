@@ -3,8 +3,8 @@
 A coin acts on the m-dimensional coin register: one global unitary, lifted
 as C (x) I_n, or a stack of n, entry k steering vertex k. linalg's stacked
 unitarity kernel certifies the coins when the spec is built, and U = S (C (x)
-I_n) in both branches; U of a monomial S is built and applied from factors,
-a global coin as one BLAS product with the vertices as its long side.
+I_n) in both branches; U of a monomial S is a WalkOperator of its factors,
+dense only through ``np.asarray``.
 """
 
 from dataclasses import InitVar, dataclass
@@ -28,6 +28,7 @@ __all__ = [
     "named_coin",
     "coin_matrix",
     "evolution",
+    "WalkOperator",
     "NAMED_COINS",
 ]
 
@@ -129,53 +130,68 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
     return full.reshape(m * n, m * n)
 
 
-class _Factored(np.ndarray):
-    """Dense U as ``evolution`` returns it for a monomial S, with the (index,
-    phase, coins) it was scattered from in ``_factors``, coins the stack as
-    the spec holds it: ``U @ x`` for a 1-D x of U's size is phase *
-    _coin_step(coins, x)[index], the coin then the permutation. Arrays numpy
-    derives from it (view, copy, slice, ufunc result, unpickled copy) have
-    ``_factors`` None and multiply densely, as ``np.matmul`` does."""
-
-    def __array_finalize__(self, obj):
-        self._factors = None
-
-    def __matmul__(self, x):
-        if self._factors is None or getattr(x, "shape", None) != self.shape[:1]:
-            return super().__matmul__(x)
-        index, phase, coins = self._factors
-        return phase * _coin_step(coins, x)[index]
-
-
 def _coin_step(coins: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The coin applied to the coin-major x of m n amplitudes, flat: a (1, m, m)
-    stack C gives the vertex-major (x.reshape(m, n).T @ C.T), entry v m + i,
-    one BLAS product with the n vertices as its long side; an (n, m, m) stack
-    gives the coin-major einsum, entry i n + v being sum_j C_v[i, j] x[j n + v].
-    The state is a vector here, so a state of any split takes U's own."""
+    """The coin applied to the coin-major x of m n amplitudes, flat and
+    vertex-major, entry v m + i being sum_j C_v[i, j] x[j n + v]: a (1, m, m)
+    stack C as one BLAS product x.reshape(m, n).T @ C.T, the n vertices its long
+    side, an (n, m, m) stack as one einsum. A state of any split takes U's own."""
     m = coins.shape[1]
     if len(coins) == 1:
         return (x.reshape(m, -1).T @ coins[0].T).reshape(-1)
-    return np.einsum("kij,jk->ik", coins, x.reshape(m, -1)).reshape(-1)
+    return np.einsum("kij,jk->ki", coins, x.reshape(m, -1)).reshape(-1)
+
+
+@dataclass(frozen=True, eq=False)
+class WalkOperator:
+    """U = S (C (x) I_n) of a monomial S as the factors ``evolution`` certified:
+    read-only ``phase`` and ``index`` of nm entries, and the spec's coin stack.
+    ``U @ x`` for a 1-D x of U's size is phase * _coin_step(coins, x)[index],
+    in O(n m^2); ``np.asarray(U)`` is dense U. numpy's ufuncs, and so
+    ``np.matmul`` and arithmetic, refuse it rather than densify it."""
+
+    phase: ComplexMatrix
+    coins: ComplexMatrix
+    index: np.ndarray
+
+    __array_ufunc__ = None
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.index.size,) * 2
+
+    def __matmul__(self, x):
+        if np.shape(x) != self.shape[:1]:
+            raise PreconditionError(
+                f"operator shape {self.shape} cannot step a state of shape {np.shape(x)}")
+        return self.phase * _coin_step(self.coins, x)[self.index]
+
+    def __array__(self, dtype=None, copy=None):
+        """Dense U, U[r, j n + v] = phase[r] C_v[i, j] for index[r] = v m + i."""
+        m = self.coins.shape[1]
+        n = self.index.size // m
+        v, i = np.divmod(self.index, m)
+        u = np.zeros((m * n, m, n), dtype=np.complex128)
+        # einsum, not *, so that each entry is rounded as evolution's dense einsum rounds it
+        u[np.arange(m * n), :, v] = np.einsum(
+            "r,rj->rj", self.phase, np.broadcast_to(self.coins, (n, m, m))[v, i])
+        return np.asarray(u.reshape(m * n, m * n), dtype)
 
 
 def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
-              tol: Tolerance = DEFAULT_TOL) -> ComplexMatrix:
+              tol: Tolerance = DEFAULT_TOL) -> WalkOperator | ComplexMatrix:
     """One-step evolution operator S (C (x) I_n): the shift applied after
     the coin. ``shift`` is a grid, such as ``assemble_shift`` returns, or
     S itself, which is read as the grid ``KrausGrid.from_matrix(S, m)``.
 
     When S is monomial, as every decomposed or assembled shift is, with
-    (S x)[r] = phase[r] x[perm[r]] and perm[r] = i n + v, U is one
-    scatter, U[r, j n + v] = phase[r] C_v[i, j], and is certified from its
-    factors: S†S = D is diagonal, so U†U = (C (x) I)† D (C (x) I) is
-    block-diagonal by vertex, and the residual of U is the max over k of
-    |C_k† diag(D[i n + k] for i < m) C_k - I|, in O(N m + n m^3). That U
-    is a _Factored array that keeps its factors, so that ``U @ psi`` applies
-    it as the coin then the permutation, in O(n m^2): a global coin as one
-    (n, m) x (m, m) product, per-vertex coins as one einsum.
-    Any other S takes an O(m^3 n^2) einsum on the (m, n, m, n) view of S
-    and the same check of U, as a stack of one. U is read-only either way."""
+    (S x)[r] = phase[r] x[perm[r]] and perm[r] = i n + v, U[r, j n + v] =
+    phase[r] C_v[i, j] is certified from its factors: S†S = D is diagonal,
+    so U†U = (C (x) I)† D (C (x) I) is block-diagonal by vertex, and the
+    residual of U is the max over k of |C_k† diag(D[i n + k] for i < m)
+    C_k - I|, in O(N m + n m^3); U is returned as the WalkOperator of those
+    factors, with no (nm)^2 array. Any other S takes an O(m^3 n^2) einsum
+    on the (m, n, m, n) view of S and the same check of U, as a stack of
+    one, and U is a read-only dense array."""
     m, n = spec.m, spec.n
     grid = shift if isinstance(shift, KrausGrid) else KrausGrid.from_matrix(shift, m)
     if grid.m * grid.n != m * n:
@@ -190,18 +206,13 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
         u.setflags(write=False)
         return u
     perm, phase = mono
-    i, v = np.divmod(perm, n)
-    u = np.zeros((m * n, m, n), dtype=np.complex128)
-    # einsum, not *, so that each entry is rounded as the einsum above rounds it
-    u[np.arange(m * n), :, v] = np.einsum("r,rj->rj", phase, coins[v, i])
     weights = np.empty(m * n)
     with np.errstate(over="ignore"):  # a huge phase: an infinite weight, refused below
         weights[perm] = np.abs(phase) ** 2  # D, the diagonal of S†S
     weights = weights.reshape(m, n).T[:, :, None]  # (n, m, 1): D of vertex k, coin i
     _require_residual(_stack_residual(coins, weights), tol, "evolution operator")
-    u = u.reshape(m * n, m * n)
-    u.setflags(write=False)  # its views, _Factored among them, are read-only too
-    u = u.view(_Factored)
-    index = perm if spec.per_vertex else v * m + i  # _coin_step's entry of coin i at vertex v
-    u._factors = (index, phase, spec.matrices)
-    return u
+    i, v = np.divmod(perm, n)
+    index = v * m + i  # _coin_step's entry of coin i at vertex v
+    for a in (phase, index):
+        a.setflags(write=False)
+    return WalkOperator(phase, spec.matrices, index)

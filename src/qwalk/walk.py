@@ -15,6 +15,7 @@ from dataclasses import InitVar, dataclass
 import numpy as np
 from numpy.typing import NDArray
 
+from .coins import WalkOperator
 from .errors import PreconditionError
 from .graphs import MultiGraph, _arc_columns
 from .linalg import ComplexMatrix, DEFAULT_TOL, Tolerance
@@ -113,20 +114,20 @@ def basis_state(m: int, n: int, coin: int, vertex: int) -> WalkerState:
     return WalkerState(m, n, amps)
 
 
-def step(u: ComplexMatrix, s: WalkerState) -> WalkerState:
+def step(u: WalkOperator | ComplexMatrix, s: WalkerState) -> WalkerState:
     """Apply the evolution operator once: ``evolve(u, s, 1)``."""
     return evolve(u, s, 1)
 
 
-def evolve(u: ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:
+def evolve(u: WalkOperator | ComplexMatrix, s0: WalkerState, t: int) -> WalkerState:
     """t successive steps psi <- U @ psi; t = 0 returns the initial state.
-    The U that ``coins.evolution`` builds for a monomial S applies itself
-    from its factors. U is read once and not scanned, and only the state
-    returned is checked: a NaN/Inf in U reaches the product (NaN*x, Inf*0
-    are NaN) and never turns finite again, so WalkerState rejects it."""
+    A WalkOperator steps from its factors; any other U is read once, by
+    ``np.asarray``. U is not scanned, and only the state returned is checked:
+    a NaN/Inf in U reaches the product (NaN*x, Inf*0 are NaN) and never
+    turns finite again, so WalkerState rejects it."""
     if t < 0:
         raise PreconditionError("step count must be nonnegative")
-    u = np.asanyarray(u, dtype=np.complex128)  # read once; U keeps its factors
+    u = u if isinstance(u, WalkOperator) else np.asarray(u, dtype=np.complex128)
     if u.shape != (s0.m * s0.n, s0.m * s0.n):
         raise PreconditionError(
             f"operator shape {u.shape} does not match state dimension {s0.m * s0.n}")

@@ -153,7 +153,7 @@ def test_criterion_5_general_coin():
 
     shift = assemble_shift(cycle_shift_grid(4))
     c = haar_unitary(2, rng)
-    u = evolution(shift, CoinSpec.global_coin(c, 4))
+    u = np.asarray(evolution(shift, CoinSpec.global_coin(c, 4)))  # dense U, to slice
     blocks = shift.blocks
     for i in range(2):
         for j in range(2):

@@ -208,7 +208,7 @@ class TestWalk:
         factored, einsum = [], np.einsum
 
         def spy(subscripts, *operands, **kwargs):  # the factored step's kernel
-            if subscripts == "kij,jk->ik":
+            if subscripts == "kij,jk->ki":
                 factored.append(operands[0].shape)
             return einsum(subscripts, *operands, **kwargs)
 
@@ -655,10 +655,12 @@ print(grid.m, report.passed, report.sum_residual, shift.m * shift.n)
 
 @pytest.mark.parametrize("d", [3, 4])  # odd degree takes matchings, even only splits
 def test_graph_decompose_verify_assemble_fit_in_1_5_gb_at_n_100000(d):
-    # A dense adjacency of this graph would be (10^5)^2 float64 entries, 80 GB.
+    # A dense adjacency of this graph would be (10^5)^2 float64 entries, 80 GB;
+    # the walk stage steps U of the grid from its factors, 10 times.
     proc = run_limited(LIMIT_ADDRESS_SPACE + f"""
 import numpy as np
-from qwalk import MultiGraph, assemble_shift, decompose_permutations, verify_kraus
+from qwalk import (CoinSpec, MultiGraph, WalkerState, assemble_shift, decompose_permutations,
+                   evolution, evolve, named_coin, verify_kraus)
 n, d = 10 ** 5, {d}
 rng = np.random.default_rng(n)
 head = np.concatenate([rng.permutation(n) for _ in range(d)])
@@ -667,9 +669,19 @@ grid = decompose_permutations(g)
 report = verify_kraus(g, grid)
 shift = assemble_shift(grid)
 print(grid.m, report.passed, report.sum_residual, shift.m * shift.n)
+# dense U would be (d n)^2 complex128 entries, 1.44 TB at d = 3
+u = evolution(shift, CoinSpec.global_coin(named_coin("grover", d), n))
+x = rng.normal(size=d * n) + 1j * rng.normal(size=d * n)
+x /= np.linalg.norm(x)
+out = evolve(u, WalkerState(d, n, x), 10).amplitudes
+perm, phase = grid.monomial()
+c = 2 / d - np.eye(d)  # the Grover coin, numpy only
+for _ in range(10):
+    x = phase * (c @ x.reshape(d, n)).reshape(-1)[perm]
+print(float(np.abs(out - x).max()) <= 1e-12)
 """)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(d), "True", "0.0", str(d * 10 ** 5)]
+    assert proc.stdout.split() == [str(d), "True", "0.0", str(d * 10 ** 5), "True"]
 
 
 def test_decompose_verify_roundtrip_always_passes(tmp_path, rng):

@@ -167,7 +167,8 @@ class TestCoinStack:
         assert not per.per_vertex
         swap = np.array([[0, 1], [1, 0]])
         assert coin_matrix(per).tobytes() == coin_matrix(glob).tobytes()
-        assert evolution(swap, per).tobytes() == evolution(swap, glob).tobytes()
+        assert (np.asarray(evolution(swap, per)).tobytes()
+                == np.asarray(evolution(swap, glob)).tobytes())
 
 
 class TestEvolution:
@@ -176,7 +177,7 @@ class TestEvolution:
         assert np.array_equal(u, c4_shift.matrix)
 
     def test_hadamard_blocks_on_cycle(self, c4_shift):
-        u = evolution(c4_shift, CoinSpec.global_coin(H, 4))
+        u = np.asarray(evolution(c4_shift, CoinSpec.global_coin(H, 4)))
         r = right_shift(4)
         s = 1 / np.sqrt(2)
         assert max_norm(u[:4, :4] - s * r.T) < 1e-15
@@ -188,7 +189,7 @@ class TestEvolution:
         # block (i,j) of U equals sum_k c_kj * B^T_ik
         shift = assemble_shift(cycle_shift_grid(4))
         c = haar_unitary(2, rng)
-        u = evolution(shift, CoinSpec.global_coin(c, 4))
+        u = np.asarray(evolution(shift, CoinSpec.global_coin(c, 4)))
         blocks = shift.blocks
         for i in range(2):
             for j in range(2):
@@ -263,7 +264,7 @@ def test_factored_evolution_matches_dense_product(seed, d, n, coin):
     else:
         spec = CoinSpec.global_coin(named_coin(coin, d), n)
     u = evolution(shift, spec)
-    assert max_norm(u - shift.matrix @ coin_matrix(spec)) <= 1e-12
+    assert max_norm(np.asarray(u) - shift.matrix @ coin_matrix(spec)) <= 1e-12
 
 
 def monomial_shift(dim: int, rng) -> np.ndarray:

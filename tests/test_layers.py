@@ -28,3 +28,14 @@ def test_modules_import_only_lower_layers():
         tree = ast.parse((SRC / f"{layer}.py").read_text(encoding="utf-8"))
         for name in imported_layers(tree):
             assert LAYERS.index(name) < LAYERS.index(layer), f"{layer} imports {name}"
+
+
+def test_no_class_subclasses_ndarray():
+    """U is a value that numpy reads through ``__array__``, never an
+    ndarray subclass whose copies and views would walk by another path."""
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                bases = [ast.unparse(base) for base in node.bases]
+                assert not any(b.split(".")[-1] == "ndarray" for b in bases), \
+                    f"{path.stem}.{node.name} subclasses {bases}"

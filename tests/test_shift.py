@@ -361,8 +361,8 @@ def assert_matches_dense_oracle(grid: KrausGrid, rng) -> None:
     m, n = grid.m, grid.n
     for spec in (CoinSpec.global_coin(haar_unitary(m, rng), n),
                  CoinSpec.per_vertex_coins([haar_unitary(m, rng) for _ in range(n)], m, n)):
-        u = evolution(assemble_shift(grid), spec)
-        assert u.tobytes() == evolution(assemble_shift(dense), spec).tobytes()
+        u = np.asarray(evolution(assemble_shift(grid), spec))
+        assert u.tobytes() == np.asarray(evolution(assemble_shift(dense), spec)).tobytes()
         coins = np.stack(spec.matrices) if spec.per_vertex else [spec.matrices[0]] * n
         oracle = np.einsum("iakb,bkj->iajb", dense.matrix.reshape(m, n, m, n), coins)
         assert u.tobytes() == oracle.reshape(m * n, m * n).tobytes()

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import pickle
 import re
@@ -17,10 +18,12 @@ from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, right_shif
 from qwalk import (
     DEFAULT_TOL,
     CoinSpec,
+    KrausGrid,
     MultiGraph,
     PreconditionError,
     ProbabilityVector,
     Tolerance,
+    WalkOperator,
     WalkerState,
     adjacency,
     assemble_shift,
@@ -624,8 +627,8 @@ def test_hadamard_walk_spreads_ballistically():
 
 
 class TestFactoredOperator:
-    """The U ``evolution`` returns for a monomial S: a read-only dense
-    array whose factors only the returned object carries."""
+    """The U ``evolution`` returns for a monomial S: a WalkOperator of its
+    certified factors, dense only through ``np.asarray``."""
 
     @pytest.fixture
     def u(self, rng):
@@ -634,27 +637,69 @@ class TestFactoredOperator:
         return evolution(assemble_shift(decompose_permutations(a)), spec)
 
     def test_is_read_only(self, u):
-        with pytest.raises(ValueError):
-            u[0, 0] = 1
+        assert type(u) is WalkOperator and u.shape == (20, 20)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            u.phase = np.ones(20)
+        for factor in (u.phase, u.coins, u.index):
+            with pytest.raises(ValueError):
+                factor[0] = 1
+
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 12),
+           st.sampled_from(["haar", "per_vertex", "identity", "grover"]))
+    @settings(max_examples=100, deadline=None)
+    def test_dense_u_is_the_block_formula_property(self, seed, m, n, coin):
+        """np.asarray(U), bit for bit, is the einsum that builds U from a
+        dense S, on a grid in permutation form with random unit phases."""
+        rng = np.random.default_rng(seed)
+        grid = KrausGrid.from_permutation(m, n, rng.permutation(m * n),
+                                          np.exp(2j * np.pi * rng.random(m * n)))
+        if coin == "per_vertex":
+            coins = np.stack([haar_unitary(m, rng) for _ in range(n)])
+            spec = CoinSpec.per_vertex_coins(coins, m, n)
+        else:
+            c = haar_unitary(m, rng) if coin == "haar" else named_coin(coin, m)
+            coins, spec = np.stack([c] * n), CoinSpec.global_coin(c, n)
+        oracle = np.einsum("iakb,bkj->iajb", grid.matrix.reshape(m, n, m, n), coins)
+        u = np.asarray(evolution(grid, spec))
+        assert u.tobytes() == oracle.reshape(m * n, m * n).tobytes()
 
     @pytest.mark.parametrize("derive", [
-        lambda u: u.copy(),
-        lambda u: u[:],
-        lambda u: u.T,
-        lambda u: u * 1,
         np.array,
         lambda u: np.linalg.matrix_power(u, 2),
-        lambda u: pickle.loads(pickle.dumps(u)),
-    ], ids=["copy", "slice", "transpose", "ufunc", "array", "matpow", "pickle"])
+    ], ids=["array", "matpow"])
     def test_derived_arrays_walk_densely(self, u, rng, derive):
         v = derive(u)
-        assert getattr(v, "_factors", None) is None
+        assert type(v) is np.ndarray
         s0 = random_state(5, 4, rng)
         with factored_steps() as calls:
             out = evolve(v, s0, 3)
         assert calls == []
-        oracle = np.linalg.matrix_power(np.array(v), 3) @ s0.amplitudes
+        oracle = np.linalg.matrix_power(v, 3) @ s0.amplitudes
         assert max_norm(out.amplitudes - oracle) <= 1e-12
+
+    def test_pickled_value_walks_factored(self, u, rng):
+        v = pickle.loads(pickle.dumps(u))
+        s0 = random_state(5, 4, rng)
+        with factored_steps() as calls:
+            out = evolve(v, s0, 3)
+        assert calls == [(4, 5, 5)] * 3
+        assert out.amplitudes.tobytes() == evolve(u, s0, 3).amplitudes.tobytes()
+
+    @pytest.mark.parametrize("combine", [
+        lambda u, a: np.matmul(u, a[0]),
+        lambda u, a: u - a,
+        lambda u, a: a - u,
+        lambda u, a: u * 1,
+        lambda u, a: a[0] @ u,
+    ], ids=["matmul", "sub", "rsub", "mul", "rmatmul"])
+    def test_ufuncs_and_arithmetic_refuse_it(self, u, combine):
+        with pytest.raises(TypeError):
+            combine(u, np.asarray(u))
+
+    @pytest.mark.parametrize("shape", [(19,), (21,), (20, 1), (20, 20), ()])
+    def test_state_of_another_size_is_refused(self, u, shape):
+        with pytest.raises(PreconditionError, match="cannot step a state of shape"):
+            u @ np.ones(shape, dtype=np.complex128)
 
     def test_state_of_another_split_walks_as_densely(self, u, rng):
         # a (2, 10) state has U's dimension 20 but not its (5, 4) split
@@ -665,10 +710,23 @@ class TestFactoredOperator:
         assert max_norm(out.amplitudes - evolve(np.asarray(u), s0, 3).amplitudes) <= 1e-12
 
     def test_save_load_roundtrips_bytes(self, u, tmp_path):
-        np.save(tmp_path / "u.npy", u)
+        np.save(tmp_path / "u.npy", u)  # through np.asanyarray, so u.__array__
         loaded = np.load(tmp_path / "u.npy")
-        assert loaded.shape == u.shape and loaded.dtype == u.dtype
-        assert loaded.tobytes() == u.tobytes()
+        assert loaded.shape == u.shape and loaded.dtype == np.complex128
+        assert loaded.tobytes() == np.asarray(u).tobytes()
+
+    def test_evolution_allocates_no_dense_u(self, rng):
+        m, n = 3, 600
+        grid = KrausGrid.from_permutation(m, n, rng.permutation(m * n),
+                                          np.exp(2j * np.pi * rng.random(m * n)))
+        spec = CoinSpec.global_coin(named_coin("grover", m), n)
+        tracemalloc.start()
+        try:
+            evolution(grid, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * (m * n) ** 2 / 10  # a tenth of dense U's 51.8 MB
 
     def test_changing_the_coin_afterwards_changes_nothing(self, c4_shift):
         c = named_coin("hadamard", 2)

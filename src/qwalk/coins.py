@@ -7,7 +7,7 @@ I_n) in both branches; U of a monomial S is a WalkOperator of its factors,
 dense only through ``np.asarray``.
 """
 
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -131,45 +131,62 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
 
 
 def _coin_step(coins: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """The coin applied to the coin-major x of m n amplitudes, flat and
-    vertex-major, entry v m + i being sum_j C_v[i, j] x[j n + v]: a (1, m, m)
-    stack C as one BLAS product x.reshape(m, n).T @ C.T, the n vertices its long
-    side, an (n, m, m) stack as one einsum. A state of any split takes U's own."""
+    """(C (x) I_n) x for a contiguous complex128 x of m n amplitudes, coin-major
+    as x is: a (1, m, m) stack is one BLAS product C @ x.reshape(m, n), a real
+    (float64) C on the float view of x; an (n, m, m) stack is one einsum. A
+    state of any split takes U's own."""
     m = coins.shape[1]
-    if len(coins) == 1:
-        return (x.reshape(m, -1).T @ coins[0].T).reshape(-1)
-    return np.einsum("kij,jk->ki", coins, x.reshape(m, -1)).reshape(-1)
+    if len(coins) > 1:
+        return np.einsum("kij,jk->ik", coins, x.reshape(m, -1)).reshape(-1)
+    if coins.dtype == np.float64:
+        return (coins[0] @ x.view(np.float64).reshape(m, -1)).view(np.complex128).reshape(-1)
+    return (coins[0] @ x.reshape(m, -1)).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)
 class WalkOperator:
     """U = S (C (x) I_n) of a monomial S as the factors ``evolution`` certified:
-    read-only ``phase`` and ``index`` of nm entries, and the spec's coin stack.
-    ``U @ x`` for a 1-D x of U's size is phase * _coin_step(coins, x)[index],
-    in O(n m^2); ``np.asarray(U)`` is dense U. numpy's ufuncs, and so
-    ``np.matmul`` and arithmetic, refuse it rather than densify it."""
+    S's read-only ``phase`` and ``perm``, (S x)[r] = phase[r] x[perm[r]], and
+    the spec's coin stack. ``U @ x``, for an x that converts to a 1-D complex128
+    array of U's size, is phase * _coin_step(coins, x)[perm] in O(n m^2): a real
+    global coin steps as a private float64 copy, and unit phases take no
+    product. ``np.asarray(U)`` is dense U, from the complex stack. numpy's
+    ufuncs, and so ``np.matmul`` and arithmetic, refuse it rather than densify it."""
 
     phase: ComplexMatrix
     coins: ComplexMatrix
-    index: np.ndarray
+    perm: np.ndarray
+    _kernel: np.ndarray = field(init=False, repr=False)  # the stack _coin_step takes
+    _unit: bool = field(init=False, repr=False)  # every phase exactly 1: no phase product
 
     __array_ufunc__ = None
 
+    def __post_init__(self):
+        real = len(self.coins) == 1 and not self.coins.imag.any()
+        object.__setattr__(self, "_kernel", self.coins.real.copy() if real else self.coins)
+        object.__setattr__(self, "_unit", bool((self.phase == 1).all()))
+
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.index.size,) * 2
+        return (self.perm.size,) * 2
 
     def __matmul__(self, x):
-        if np.shape(x) != self.shape[:1]:
+        try:
+            x = np.asarray(x, dtype=np.complex128, order="C")
+        except (TypeError, ValueError) as e:
             raise PreconditionError(
-                f"operator shape {self.shape} cannot step a state of shape {np.shape(x)}")
-        return self.phase * _coin_step(self.coins, x)[self.index]
+                f"cannot step a state that does not convert to complex128: {e}") from None
+        if x.shape != self.shape[:1]:
+            raise PreconditionError(
+                f"operator shape {self.shape} cannot step a state of shape {x.shape}")
+        y = _coin_step(self._kernel, x)[self.perm]
+        return y if self._unit else self.phase * y
 
     def __array__(self, dtype=None, copy=None):
-        """Dense U, U[r, j n + v] = phase[r] C_v[i, j] for index[r] = v m + i."""
+        """Dense U, U[r, j n + v] = phase[r] C_v[i, j] for perm[r] = i n + v."""
         m = self.coins.shape[1]
-        n = self.index.size // m
-        v, i = np.divmod(self.index, m)
+        n = self.perm.size // m
+        i, v = np.divmod(self.perm, n)
         u = np.zeros((m * n, m, n), dtype=np.complex128)
         # einsum, not *, so that each entry is rounded as evolution's dense einsum rounds it
         u[np.arange(m * n), :, v] = np.einsum(
@@ -189,7 +206,8 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
     so U†U = (C (x) I)† D (C (x) I) is block-diagonal by vertex, and the
     residual of U is the max over k of |C_k† diag(D[i n + k] for i < m)
     C_k - I|, in O(N m + n m^3); U is returned as the WalkOperator of those
-    factors, with no (nm)^2 array. Any other S takes an O(m^3 n^2) einsum
+    factors, S's own perm and phase and the spec's coins, with no (nm)^2
+    array. Any other S takes an O(m^3 n^2) einsum
     on the (m, n, m, n) view of S and the same check of U, as a stack of
     one, and U is a read-only dense array."""
     m, n = spec.m, spec.n
@@ -211,8 +229,6 @@ def evolution(shift: KrausGrid | ComplexMatrix, spec: CoinSpec,
         weights[perm] = np.abs(phase) ** 2  # D, the diagonal of S†S
     weights = weights.reshape(m, n).T[:, :, None]  # (n, m, 1): D of vertex k, coin i
     _require_residual(_stack_residual(coins, weights), tol, "evolution operator")
-    i, v = np.divmod(perm, n)
-    index = v * m + i  # _coin_step's entry of coin i at vertex v
-    for a in (phase, index):
+    for a in (phase, perm):
         a.setflags(write=False)
-    return WalkOperator(phase, spec.matrices, index)
+    return WalkOperator(phase, spec.matrices, perm)

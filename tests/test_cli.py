@@ -208,7 +208,7 @@ class TestWalk:
         factored, einsum = [], np.einsum
 
         def spy(subscripts, *operands, **kwargs):  # the factored step's kernel
-            if subscripts == "kij,jk->ki":
+            if subscripts == "kij,jk->ik":
                 factored.append(operands[0].shape)
             return einsum(subscripts, *operands, **kwargs)
 
@@ -587,14 +587,19 @@ class TestBadInput:
         assert "integers" in err and "Traceback" not in err
 
 
-# Sets a 1.5 GB address-space limit on itself only, so that an input that
-# sizes more memory than exists fails at once instead of being allocated.
-LIMIT_ADDRESS_SPACE = """
+def limit_address_space(mib: int) -> str:
+    """Code that sets an address-space limit of ``mib`` MiB on itself only,
+    so that an input that sizes more memory than exists fails at once
+    instead of being allocated."""
+    return f"""
 import resource, sys
 hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-limit = 1536 * 2 ** 20 if hard == resource.RLIM_INFINITY else min(hard, 1536 * 2 ** 20)
+limit = {mib} * 2 ** 20 if hard == resource.RLIM_INFINITY else min(hard, {mib} * 2 ** 20)
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 """
+
+
+LIMIT_ADDRESS_SPACE = limit_address_space(1536)
 LIMITED_CHILD = LIMIT_ADDRESS_SPACE + """
 from qwalk.cli import main
 sys.exit(main(sys.argv[1:]))
@@ -602,7 +607,8 @@ sys.exit(main(sys.argv[1:]))
 
 
 def run_limited(code: str, *args: str) -> subprocess.CompletedProcess:
-    """Run ``code`` in a child whose address space is capped at 1.5 GB."""
+    """Run ``code`` in a child on one BLAS thread, capped by the
+    ``limit_address_space`` code it starts with, if any."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1")
     return subprocess.run([sys.executable, "-c", code, *args],
@@ -656,8 +662,10 @@ print(grid.m, report.passed, report.sum_residual, shift.m * shift.n)
 @pytest.mark.parametrize("d", [3, 4])  # odd degree takes matchings, even only splits
 def test_graph_decompose_verify_assemble_fit_in_1_5_gb_at_n_100000(d):
     # A dense adjacency of this graph would be (10^5)^2 float64 entries, 80 GB;
-    # the walk stage steps U of the grid from its factors, 10 times.
-    proc = run_limited(LIMIT_ADDRESS_SPACE + f"""
+    # the walk stage steps U of the grid from its factors, 10 times. The whole
+    # child peaked at 218-229 MiB of address space at d = 3 and 271-295 MiB at
+    # d = 4 (VmPeak, 1 BLAS thread), so it runs under 448 MiB, not 1.5 GB.
+    proc = run_limited(limit_address_space(448) + f"""
 import numpy as np
 from qwalk import (CoinSpec, MultiGraph, WalkerState, assemble_shift, decompose_permutations,
                    evolution, evolve, named_coin, verify_kraus)

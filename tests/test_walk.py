@@ -536,41 +536,51 @@ def test_factored_step_matches_dense_property(seed, d, n, decomposed, per_vertex
     assert max_norm(factored.amplitudes - dense.amplitudes) <= 1e-12
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12), st.booleans())
-@settings(max_examples=80, deadline=None)
-def test_factored_step_is_its_kernel_formula_property(seed, m, n, per_vertex):
-    """Bit for bit, with perm = i n + v: a global coin C steps as phase *
-    (x.reshape(m, n).T @ C.T).reshape(-1)[v m + i], one product with the
-    vertices as its long side, and n > 1 per-vertex coins as phase *
-    einsum("kij,jk->ik", coins, x.reshape(m, n)).reshape(-1)[perm]. Both
-    are within 1e-12 of dense U."""
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 12),
+       st.sampled_from(["haar", "grover", "per_vertex"]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_factored_step_is_its_kernel_formula_property(seed, m, n, coin, unit_phase):
+    """Bit for bit, with S x = phase * x[perm] and X = x.reshape(m, n): a
+    complex global coin C steps as phase * (C @ X).reshape(-1)[perm], a real
+    one as the same product of C.real on the float view of x, and n > 1
+    per-vertex coins as phase * einsum("kij,jk->ik", coins, X).reshape(-1)[perm].
+    With every phase exactly 1 the step is the gather alone. Each is within
+    1e-12 of dense U."""
     rng = np.random.default_rng(seed)
-    perm, phase = rng.permutation(m * n), np.exp(2j * np.pi * rng.random(m * n))
+    perm = rng.permutation(m * n)
+    phase = np.ones(m * n) if unit_phase else np.exp(2j * np.pi * rng.random(m * n))
     shift = np.zeros((m * n, m * n), dtype=np.complex128)
     shift[np.arange(m * n), perm] = phase
     coins = [haar_unitary(m, rng) for _ in range(n)]
-    spec = (CoinSpec.per_vertex_coins(coins, m, n) if per_vertex
-            else CoinSpec.global_coin(coins[0], n))
+    if coin == "per_vertex":
+        spec = CoinSpec.per_vertex_coins(coins, m, n)
+    else:
+        spec = CoinSpec.global_coin(coins[0] if coin == "haar" else named_coin(coin, m), n)
     u = evolution(shift, spec)
     x = random_state(m, n, rng).amplitudes
     if spec.per_vertex:
-        oracle = phase * np.einsum("kij,jk->ik", spec.matrices, x.reshape(m, n)).reshape(-1)[perm]
+        y = np.einsum("kij,jk->ik", spec.matrices, x.reshape(m, n))
+    elif coin == "grover":
+        y = (spec.matrices[0].real @ x.view(np.float64).reshape(m, 2 * n)).view(np.complex128)
     else:
-        i, v = np.divmod(perm, n)
-        oracle = phase * (x.reshape(m, n).T @ spec.matrices[0].T).reshape(-1)[v * m + i]
+        y = spec.matrices[0] @ x.reshape(m, n)
+    oracle = y.reshape(-1)[perm] if unit_phase else phase * y.reshape(-1)[perm]
     got = step(u, WalkerState(m, n, x)).amplitudes
     assert got.tobytes() == oracle.tobytes()
     assert max_norm(got - np.asarray(u) @ x) <= 1e-12
 
 
 def test_global_coin_kernel_bytes_do_not_depend_on_blas_threads():
-    """The product splits the n = 10^5 vertices, not the m = 3 coin rows,
-    across BLAS threads; one thread and two give the same bytes."""
+    """At n = 10^5, m = 3, both global-coin products, the complex one of a
+    Haar coin and the real one of the Grover coin on the float view of x,
+    give the same bytes on one BLAS thread and two."""
     code = ("import hashlib, numpy as np; from qwalk.coins import _coin_step\n"
             "rng = np.random.default_rng(7)\n"
             "c = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))[0]\n"
+            "g = 2 / 3 - np.eye(3)\n"
             "x = rng.normal(size=300000) + 1j * rng.normal(size=300000)\n"
-            "print(hashlib.md5(_coin_step(c[None], x).tobytes()).hexdigest())")
+            "for coin in (c, g):\n"
+            "    print(hashlib.md5(_coin_step(coin[None], x).tobytes()).hexdigest())")
     digests = []
     for threads in ("1", "2"):
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"),
@@ -579,8 +589,8 @@ def test_global_coin_kernel_bytes_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        digests.append(proc.stdout)
-    assert digests[0] == digests[1]
+        digests.append(proc.stdout.split())
+    assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(0, 12), st.booleans())
@@ -640,17 +650,22 @@ class TestFactoredOperator:
         assert type(u) is WalkOperator and u.shape == (20, 20)
         with pytest.raises(dataclasses.FrozenInstanceError):
             u.phase = np.ones(20)
-        for factor in (u.phase, u.coins, u.index):
+        for factor in (u.phase, u.coins, u.perm):
             with pytest.raises(ValueError):
                 factor[0] = 1
 
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(1, 12),
-           st.sampled_from(["haar", "per_vertex", "identity", "grover"]))
+           st.sampled_from(["haar", "per_vertex", "identity", "grover", "hadamard"]))
     @settings(max_examples=100, deadline=None)
     def test_dense_u_is_the_block_formula_property(self, seed, m, n, coin):
         """np.asarray(U), bit for bit, is the einsum that builds U from a
-        dense S, on a grid in permutation form with random unit phases."""
+        dense S, on a grid in permutation form with random unit phases. The
+        Hadamard coins (m = 2, 4) step as a real copy that drops the -0.0
+        imaginary part of named_coin("hadamard", 4); dense U is still built
+        from the spec's complex stack."""
         rng = np.random.default_rng(seed)
+        if coin == "hadamard":
+            m = 2 if m < 3 else 4
         grid = KrausGrid.from_permutation(m, n, rng.permutation(m * n),
                                           np.exp(2j * np.pi * rng.random(m * n)))
         if coin == "per_vertex":
@@ -700,6 +715,30 @@ class TestFactoredOperator:
     def test_state_of_another_size_is_refused(self, u, shape):
         with pytest.raises(PreconditionError, match="cannot step a state of shape"):
             u @ np.ones(shape, dtype=np.complex128)
+
+    @pytest.mark.parametrize("convert", [
+        lambda x: x.tolist(),
+        lambda x: x.real.copy(),
+        lambda x: np.round(4 * x.real).astype(np.int64),
+        lambda x: np.repeat(x, 2)[::2],
+        lambda x: x.astype(object),
+    ], ids=["list", "float64", "int", "strided", "object"])
+    def test_state_that_is_not_a_complex_array_is_converted(self, u, rng, convert):
+        """Per-vertex coins and a real global coin, which steps on the float
+        view of a contiguous complex copy of x."""
+        grover = evolution(KrausGrid.from_permutation(5, 4, rng.permutation(20)),
+                           CoinSpec.global_coin(named_coin("grover", 5), 4))
+        x = convert(random_state(5, 4, rng).amplitudes)
+        for op in (u, grover):
+            got = op @ x
+            assert got.dtype == np.complex128
+            assert max_norm(got - np.asarray(op) @ np.asarray(x, dtype=np.complex128)) <= 1e-12
+
+    @pytest.mark.parametrize("x", [np.array(["a"] * 20), [object()] * 20, [[1, 2]] * 19 + [1]],
+                             ids=["strings", "objects", "ragged"])
+    def test_state_that_is_not_numbers_is_refused(self, u, x):
+        with pytest.raises(PreconditionError, match="does not convert to complex128"):
+            u @ x
 
     def test_state_of_another_split_walks_as_densely(self, u, rng):
         # a (2, 10) state has U's dimension 20 but not its (5, 4) split

@@ -196,15 +196,16 @@ def build_parser() -> argparse.ArgumentParser:
                     "discrete-time quantum walks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
+    def add(name, func, help_text, tol=True):
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(func=func)
-        p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
-                       help="absolute tolerance override")
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                           help="absolute tolerance override")
         return p
 
     p = add("decompose", cmd_decompose,
-            "decompose a regular adjacency matrix into permutation blocks")
+            "decompose a regular adjacency matrix into permutation blocks", tol=False)
     p.add_argument("adjacency")
     p.add_argument("--out", required=True)
 

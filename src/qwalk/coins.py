@@ -151,7 +151,8 @@ class WalkOperator:
     array of U's size, is phase * _coin_step(coins, x)[perm] in O(n m^2): a real
     global coin steps as a private float64 copy, and unit phases take no
     product. ``np.asarray(U)`` is dense U, from the complex stack. numpy's
-    ufuncs, and so ``np.matmul`` and arithmetic, refuse it rather than densify it."""
+    ufuncs, and so ``np.matmul`` and arithmetic, refuse it rather than densify it.
+    Build it with ``evolution``: the dataclass constructor checks nothing."""
 
     phase: ComplexMatrix
     coins: ComplexMatrix

@@ -55,11 +55,12 @@ class KrausGrid:
     its (m, m, n, n) view, blocks[i][j] = S[in:(i+1)n, jn:(j+1)n].
 
     A grid holds S once: as the read-only dense matrix when built from
-    blocks or a matrix, or, when ``decompose_permutations`` builds it, as
-    a monomial S in permutation form (perm, phase), with (S x)[r] =
-    phase[r] x[perm[r]], in O(nm). ``matrix`` and ``blocks`` build dense
-    S from that form on each request. Completeness is not enforced at
-    construction; use ``verify_kraus`` or ``assemble_shift``."""
+    blocks or a matrix, or, when ``from_permutation`` builds it (as
+    ``decompose_permutations`` does), as a monomial S in permutation form
+    (perm, phase), with (S x)[r] = phase[r] x[perm[r]], in O(nm).
+    ``matrix`` and ``blocks`` build dense S from that form on each
+    request. Completeness is not enforced at construction; use
+    ``verify_kraus`` or ``assemble_shift``."""
 
     m: int
     n: int
@@ -96,15 +97,8 @@ class KrausGrid:
             raise PreconditionError(f"perm must be an integer permutation of range({m * n})")
         if phase.shape != (m * n,) or not np.isfinite(phase).all():
             raise PreconditionError(f"phase must be {m * n} finite entries")
-        return cls._permutation(m, n, perm.astype(np.int64, copy=False), phase)
-
-    @classmethod
-    def _permutation(cls, m: int, n: int, perm: np.ndarray,
-                     phase: ComplexMatrix) -> "KrausGrid":
-        """The grid of the monomial S with (S x)[r] = phase[r] x[perm[r]];
-        ``perm`` is a permutation of range(nm) and ``phase`` finite."""
         grid = object.__new__(cls)
-        grid._hold(m, n, (perm, phase))
+        grid._hold(m, n, (perm.astype(np.int64, copy=False), phase))
         return grid
 
     def _hold(self, m: int, n: int, s) -> None:
@@ -226,7 +220,7 @@ def decompose_permutations(a: ComplexMatrix | MultiGraph) -> KrausGrid:
         else:
             parts += [(rows, cols, half, k // 2) for half in _euler_split(cols, counts)[::-1]]
     perm = np.array(perms) + np.arange(d)[:, None] * n  # block i: row i n + r to i n + perm[i, r]
-    return KrausGrid._permutation(d, n, perm.reshape(-1), np.ones(d * n, dtype=np.complex128))
+    return KrausGrid.from_permutation(d, n, perm.reshape(-1))
 
 
 def _euler_split(cols: np.ndarray, counts: np.ndarray) -> np.ndarray:

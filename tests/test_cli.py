@@ -519,6 +519,8 @@ class TestBadInput:
          b'"note": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", 1),
         (["classical", "{c4}", "{file}", "--steps", "1"],
          b'{"n": 4, "probs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}", 1),
+        (["decompose", "{file}"], {"rows": 0, "cols": 0, "entries": []}, 1),
+        (["extract", "{file}", "--m", "1"], {"rows": -1, "cols": 2, "entries": []}, 1),
     ], ids=["extract-m0", "extract-m-neg", "grid-blocks-int", "grid-rows-int",
             "matrix-entries-int", "probs-str", "probs-int", "coin-m-str",
             "grid-ragged-rows", "grid-wrong-m", "grid-wrong-n", "grid-mixed-sizes",
@@ -528,7 +530,8 @@ class TestBadInput:
             "coin-global-two-matrices", "coin-global-m-mismatch",
             "matrix-rows-bool", "state-m-bool", "grid-m-bool", "decompose-huge-entry",
             "matrix-not-utf8", "probs-not-utf8", "matrix-int-too-long", "probs-int-too-long",
-            "matrix-nested-too-deep", "probs-nested-too-deep"])
+            "matrix-nested-too-deep", "probs-nested-too-deep", "matrix-rows-0",
+            "matrix-rows-neg"])
     def test_exit_code_without_traceback(self, tmp_path, capsys, argv, obj, code):
         path = tmp_path / "input.json"
         if isinstance(obj, bytes):  # a file that json.dumps cannot write
@@ -563,6 +566,15 @@ class TestBadInput:
         err = capsys.readouterr().err
         assert f"argument --tol: must be a nonnegative number: {tol!r}" in err
         assert "_tolerance" not in err and "Traceback" not in err
+
+    def test_decompose_takes_no_tolerance(self, tmp_path, capsys):
+        adj = write_matrix(tmp_path, "c4.json", cycle_adjacency(4))
+        with pytest.raises(SystemExit) as exc:
+            main(["decompose", adj, "--out", str(tmp_path / "g.json"), "--tol", "5"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --tol 5" in err and "Traceback" not in err
+        assert not (tmp_path / "g.json").exists()
 
     @pytest.mark.parametrize("steps", ["x", "-1", "1.5"])
     def test_bad_steps_rejected_by_parser(self, tmp_path, capsys, steps):

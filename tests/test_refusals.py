@@ -194,7 +194,7 @@ def test_huge_entries_are_not_unitary(a):
 
 
 def test_a_huge_phase_fails_completeness():
-    grid = KrausGrid._permutation(1, 2, np.array([1, 0]), np.array([1e200, 1], complex))
+    grid = KrausGrid.from_permutation(1, 2, np.array([1, 0]), np.array([1e200, 1], complex))
     report = verify_kraus(None, grid)  # with no overflow warning
     assert not (report.column_ok or report.row_ok)
 

@@ -210,7 +210,7 @@ def test_completeness_residuals_are_the_unitarity_residuals_of_s(seed, m, n, spr
     rng = np.random.default_rng(seed)
     perm = rng.permutation(m * n)
     phase = np.exp(2j * np.pi * rng.random(m * n)) * (1 + spread * rng.standard_normal(m * n))
-    phased = KrausGrid._permutation(m, n, perm, phase)
+    phased = KrausGrid.from_permutation(m, n, perm, phase)
     expected = max_norm(np.abs(phase) ** 2 - 1.0)
     for grid in (phased, KrausGrid.from_matrix(phased.matrix, m)):
         report = verify_kraus(None, grid)
@@ -388,8 +388,8 @@ def test_graph_roundtrip_property(g, seed):
     assert verify_kraus(a, decomposed) == verify_kraus(
         a, KrausGrid(decomposed.m, decomposed.n, blocks))
     perm, phase = decomposed.monomial()
-    phased = KrausGrid._permutation(decomposed.m, decomposed.n, perm,
-                                    phase * np.exp(2j * np.pi * rng.random(perm.size)))
+    phased = KrausGrid.from_permutation(decomposed.m, decomposed.n, perm,
+                                        phase * np.exp(2j * np.pi * rng.random(perm.size)))
     assert_matches_dense_oracle(phased, rng)
 
 
@@ -557,7 +557,7 @@ def test_arc_residual_is_the_dense_oracle_property(seed, m, n, grid_kind, adjace
         grid = KrausGrid.from_matrix(u, m)
     else:
         phase = np.exp(2j * np.pi * rng.random(m * n)) if grid_kind == "phased" else np.ones(m * n)
-        grid = KrausGrid._permutation(m, n, rng.permutation(m * n), phase.astype(np.complex128))
+        grid = KrausGrid.from_permutation(m, n, rng.permutation(m * n), phase.astype(np.complex128))
     mask = rng.integers(0, 2, (n, n))
     a = {"integer": lambda: rng.integers(0, 3, (n, n)).astype(np.float64),
          "real": lambda: rng.normal(size=(n, n)) * mask,

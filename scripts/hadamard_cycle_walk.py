@@ -14,6 +14,7 @@ import numpy as np
 from qwalk import (
     CoinSpec,
     KrausGrid,
+    MultiGraph,
     ProbabilityVector,
     assemble_shift,
     basis_state,
@@ -30,6 +31,13 @@ def cycle_grid(n: int) -> KrausGrid:
     """The shift of C_n: coin 0 moves the walker to v - 1, coin 1 to v + 1."""
     v = np.arange(n)
     return KrausGrid.from_permutation(2, n, np.concatenate([(v + 1) % n, n + (v - 1) % n]))
+
+
+def cycle_graph(n: int) -> MultiGraph:
+    """C_n as its 2n arcs v -> v - 1 and v -> v + 1, of unit weight and no coin tag."""
+    v = np.arange(n)
+    return MultiGraph.from_columns(n, np.tile(v, 2), np.concatenate([(v - 1) % n, (v + 1) % n]),
+                                   np.ones(2 * n), np.full(2 * n, -1))
 
 
 def main() -> None:
@@ -49,13 +57,10 @@ def main() -> None:
         quantum.append((t, measure_position(state).probs))
         state = evolve(u, state, 1)
 
-    adjacency = np.zeros((args.n, args.n))
-    for i in range(args.n):
-        adjacency[i, (i + 1) % args.n] = adjacency[i, (i - 1) % args.n] = 1
     p0 = np.zeros(args.n)
     p0[args.start] = 1.0
     classical = [(t, dist.probs) for t, dist in enumerate(
-        classical_trajectory(adjacency, ProbabilityVector(p0), args.steps))]
+        classical_trajectory(cycle_graph(args.n), ProbabilityVector(p0), args.steps))]
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     q_path = args.out_dir / f"quantum_c{args.n}.csv"

@@ -131,16 +131,13 @@ def coin_matrix(spec: CoinSpec) -> ComplexMatrix:
 
 
 def _coin_step(coins: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(C (x) I_n) x for a contiguous complex128 x of m n amplitudes, coin-major
-    as x is: a (1, m, m) stack is one BLAS product C @ x.reshape(m, n), a real
-    (float64) C on the float view of x; an (n, m, m) stack is one einsum. A
-    state of any split takes U's own."""
+    """(C (x) I_n) x for a contiguous complex128 x of m n amplitudes, coin-major as x
+    is: an (n, m, m) stack is one einsum; a (1, m, m) stack is one BLAS product C @ x
+    on x viewed as C's dtype (a real C on its floats). A state of any split takes U's own."""
     m = coins.shape[1]
     if len(coins) > 1:
         return np.einsum("kij,jk->ik", coins, x.reshape(m, -1)).reshape(-1)
-    if coins.dtype == np.float64:
-        return (coins[0] @ x.view(np.float64).reshape(m, -1)).view(np.complex128).reshape(-1)
-    return (coins[0] @ x.reshape(m, -1)).reshape(-1)
+    return (coins[0] @ x.view(coins.dtype).reshape(m, -1)).view(np.complex128).reshape(-1)
 
 
 @dataclass(frozen=True, eq=False)

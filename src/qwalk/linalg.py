@@ -74,11 +74,17 @@ def monomial(a: ComplexMatrix) -> tuple[NDArray[np.int64], ComplexMatrix] | None
     if a.shape != (n, n) or np.count_nonzero(a) != n:  # dense input: no scan
         return None
     rows, cols = _nonzero(a)
-    if not np.array_equal(rows, np.arange(n)):
-        return None
-    hit = np.zeros(n, dtype=bool)
-    hit[cols] = True
-    return (cols, a[rows, cols]) if hit.all() else None
+    mono = np.array_equal(rows, np.arange(n)) and _is_permutation(cols)
+    return (cols, a[rows, cols]) if mono else None
+
+
+def _is_permutation(p: np.ndarray) -> bool:
+    """Whether 1-D integer ``p`` holds each of 0..p.size-1 once: O(p.size), bounds first."""
+    if p.ndim != 1 or p.dtype.kind not in "iu" or p.size and not 0 <= p.min() <= p.max() < p.size:
+        return False
+    hit = np.zeros(p.size, dtype=bool)
+    hit[p] = True
+    return bool(hit.all())
 
 
 def unitarity_residual(a: ComplexMatrix) -> float:

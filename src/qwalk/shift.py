@@ -26,6 +26,7 @@ from .linalg import (
     ComplexMatrix,
     Tolerance,
     DEFAULT_TOL,
+    _is_permutation,
     _nonzero,
     _phase_residual,
     _require_indexable,
@@ -89,12 +90,12 @@ class KrausGrid:
             raise PreconditionError("grid dimensions must be positive")
         try:
             perm = np.array(perm)
-            phase = np.array(np.ones(m * n) if phase is None else phase, dtype=np.complex128)
+            phase = None if phase is None else np.array(phase, dtype=np.complex128)
         except (TypeError, ValueError) as exc:  # ragged or not numeric
             raise PreconditionError("perm and phase must be numeric arrays") from exc
-        if (perm.ndim != 1 or perm.dtype.kind not in "iu"
-                or not np.array_equal(np.sort(perm), np.arange(m * n))):
+        if perm.size != m * n or not _is_permutation(perm):  # before the ones are built
             raise PreconditionError(f"perm must be an integer permutation of range({m * n})")
+        phase = np.ones(m * n, dtype=np.complex128) if phase is None else phase
         if phase.shape != (m * n,) or not np.isfinite(phase).all():
             raise PreconditionError(f"phase must be {m * n} finite entries")
         grid = object.__new__(cls)

@@ -15,7 +15,7 @@ from qwalk import (
     max_norm,
     unitarity_residual,
 )
-from qwalk.linalg import _nonzero, _stack_residual, monomial
+from qwalk.linalg import _is_permutation, _nonzero, _stack_residual, monomial
 
 H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
 SWAP = np.array([[1, 0, 0, 0],
@@ -217,3 +217,30 @@ def test_flat_scan_is_np_nonzero(seed, rows, cols, complex_entries):
     expected = np.nonzero(a)
     found = _nonzero(a)
     assert all(np.array_equal(x, y) and x.dtype == y.dtype for x, y in zip(found, expected))
+
+
+@st.composite
+def near_permutations(draw):
+    """Signed and unsigned integer arrays, of size 0 to 12, that are a
+    permutation of their range with some entries overwritten: duplicates,
+    negatives, entries past the end and the dtype's extremes."""
+    dtype = np.dtype(draw(st.sampled_from([np.int8, np.int64, np.uint8, np.uint64])))
+    info = np.iinfo(dtype)
+    p = draw(st.permutations(range(draw(st.integers(0, 12)))))
+    entry = st.integers(-2, len(p) + 1) | st.sampled_from([int(info.min), int(info.max)])
+    for i in draw(st.lists(st.integers(0, len(p) - 1), max_size=3)) if p else ():
+        p[i] = draw(entry.filter(lambda v: info.min <= v <= info.max))
+    return np.array(p, dtype=dtype)
+
+
+@given(near_permutations(), st.sampled_from(["1-d", "2-d", "float", "bool"]))
+@settings(max_examples=300, deadline=None)
+def test_permutation_check_is_the_sorting_oracle_property(p, form):
+    """``_is_permutation``, the one test ``monomial`` and
+    ``KrausGrid.from_permutation`` share, is the O(n log n) sorting oracle,
+    also on arrays that are not 1-D or not of an integer dtype."""
+    p = {"1-d": p, "2-d": p.reshape(1, -1), "float": p.astype(np.float64),
+         "bool": p.astype(bool)}[form]
+    expected = (p.ndim == 1 and p.dtype.kind in "iu"
+                and np.array_equal(np.sort(p), np.arange(p.size)))
+    assert _is_permutation(p) is expected

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -114,12 +115,27 @@ def test_library_refuses(call, error):
     ((1, 2, [1, 0], [1, np.nan]), "phase must be 2 finite entries"),
     ((1, 2, [1, 0], [1, complex(0, np.inf)]), "phase must be 2 finite entries"),
     ((1, 2, [1, 0], ["a", "b"]), "numeric arrays"),
+    ((1, 2, [0, -1]), "integer permutation of range"),
+    ((1, 2, np.array([2 ** 63, 0], dtype=np.uint64)), "integer permutation of range"),
 ], ids=["m0", "float-perm", "bool-perm", "scalar-perm", "2d-perm", "short-perm",
         "repeated-perm", "perm-out-of-range", "ragged-perm", "short-phase", "nan-phase",
-        "inf-phase", "text-phase"])
+        "inf-phase", "text-phase", "negative-perm", "uint64-perm-2-63"])
 def test_from_permutation_refuses(args, message):
     with pytest.raises(PreconditionError, match=message):
         KrausGrid.from_permutation(*args)
+
+
+def test_from_permutation_refuses_before_it_builds_arrays_of_nm_entries():
+    """A perm of the wrong length is refused at m n = 10^7 at a tracemalloc
+    peak under 1 MB: one complex128 array of nm entries would be 160 MB."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="integer permutation of range"):
+            KrausGrid.from_permutation(1, 10 ** 7, [0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_load_graph_refuses_a_negative_coin(tmp_path):

@@ -6,21 +6,21 @@ json writes them (the shortest repr); floats in CSV output use
 17-significant-digit formatting. Identical inputs produce byte-identical
 files on every platform.
 
-Matrix files, and the matrices of grid and coin files, are read and
-written at about the cost of their nonzero entries and zero runs. On
-reading, the file's bytes are searched for runs of exact zero pairs in
-one layout, that of the first zero pair: the layout qwalk writes, or
-json.dumps' default one. Each maximal run is collapsed to one ``true``,
-a token the writers never write, before the rest is decoded and json
-parses it; each such true then stands for its run. On writing, json
-lays out the skeleton of the file, a run of +0.0 pairs is one repeated
-string, every other +0.0 is the literal "0.0" and only the other numbers
-go through json. The distribution CSV formats each step's column in one
-call.
+Matrix and state files, and the matrices of grid and coin files, are
+read and written at about the cost of their nonzero entries and zero
+runs. On reading, the file's bytes are searched for runs of exact zero
+pairs in one layout, that of the first zero pair: the layout qwalk
+writes, or json.dumps' default one. Each maximal run is collapsed to one
+``true``, a token the writers never write, before the rest is decoded
+and json parses it; each such true then stands for its run. On writing,
+json lays out the skeleton of the file, a run of +0.0 pairs is one
+repeated string, every other +0.0 is the literal "0.0" and only the
+other numbers go through json. The distribution CSV formats each step's
+column in one call.
 """
 
 import json
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -54,14 +54,14 @@ def _loads(data: bytes):
     return json.loads(data.decode("utf-8"))
 
 
-def _load_json(path, parse=_loads):
-    """``parse`` of the bytes of the file at ``path``. Bad input raises
-    json.JSONDecodeError, or FileFormatError for the rest of what reading
-    and json refuse: invalid UTF-8, an integer of over 4300 digits,
-    nesting deeper than the stack."""
+def _load_json(path, *parse):
+    """json.loads, or _parse(data, *parse), of the bytes ``data`` of the file
+    at ``path``. Bad input raises json.JSONDecodeError, or FileFormatError
+    for the rest of what reading and json refuse: invalid UTF-8, an integer
+    of over 4300 digits, nesting deeper than the stack."""
     try:
         with open(path, "rb") as f:
-            return parse(f.read())
+            return _parse(f.read(), *parse) if parse else _loads(f.read())
     except json.JSONDecodeError:
         raise
     except (ValueError, RecursionError) as exc:
@@ -313,25 +313,25 @@ def _collapse(data: bytes, level: int):
     return collapsed, runs
 
 
-def _parse(data: bytes, level: int, matrices):
+def _parse(data: bytes, level: int, select):
     """(json.loads of data's text, vector): ``vector`` reads, as
-    _complex_vector does, the entries lists of the matrix objects that
-    ``matrices(obj)`` lists in document order, each in turn, their zero
-    pairs ``level`` deep.
+    _complex_vector does, the lists of [re, im] pairs (a matrix's entries,
+    a state's amplitudes) that ``select(obj)`` returns in document order,
+    each in turn, their zero pairs ``level`` deep.
 
     The data is parsed with its zero runs collapsed (_collapse), and each
-    true (itself, not a number 1) in those entries lists then stands for
-    its run. It is parsed as it is where it holds a true (it would pass for
-    a run) or a backslash (an escape such as "\\[" could turn a pair inside
-    a string into valid text), or where those entries lists do not hold one
-    true per run, all told (a run inside a string, or outside the entries).
-    So the collapse never changes what is read or refused."""
+    true (itself, not a number 1) in those lists then stands for its run.
+    It is parsed as it is where it holds a true (it would pass for a run)
+    or a backslash (an escape such as "\\[" could turn a pair inside a
+    string into valid text), or where those lists do not hold one true per
+    run, all told (a run inside a string, or outside those lists). So the
+    collapse never changes what is read or refused."""
     collapsed = _collapse(data, level)
     if collapsed is not None:
         collapsed, runs = collapsed
         try:
             obj = _loads(collapsed)
-            lists = [matrix["entries"] for matrix in matrices(obj)]
+            lists = select(obj)
         except (ValueError, RecursionError, LookupError, TypeError):
             lists = None  # the decoder's, json's or the reader's own error comes below
         if (lists is not None and all(isinstance(e, list) for e in lists)
@@ -352,13 +352,12 @@ def _expanded(entries: list, runs: list, what: str) -> np.ndarray:
     return np.repeat(_complex_vector(pairs, what), counts)
 
 
-# The nesting level of an entries item in each file's layout.
+# The nesting level of an item of a pair list in each file's layout.
 _MATRIX_LEVEL, _COIN_LEVEL, _GRID_LEVEL = 2, 4, 5
 
 
 def load_matrix(path) -> ComplexMatrix:
-    return _matrix(*_load_json(path, lambda data: _parse(
-        data, _MATRIX_LEVEL, lambda obj: [obj])))
+    return _matrix(*_load_json(path, _MATRIX_LEVEL, lambda obj: [obj["entries"]]))
 
 
 def save_matrix(a: ComplexMatrix, path) -> None:
@@ -406,8 +405,8 @@ def save_graph(g: MultiGraph, path) -> None:
 
 
 def load_grid(path) -> KrausGrid:
-    obj, vector = _load_json(path, lambda data: _parse(
-        data, _GRID_LEVEL, lambda obj: chain.from_iterable(obj["blocks"])))
+    obj, vector = _load_json(path, _GRID_LEVEL, lambda obj: [
+        b["entries"] for row in obj["blocks"] for b in row])
     m, n, rows = _fields(obj, "malformed grid file", "m", "n", "blocks")
     _ints("grid m/n", m, n)
     if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
@@ -425,8 +424,8 @@ def save_grid(grid: KrausGrid, path) -> None:
 
 
 def load_coin_spec(path, tol: Tolerance = DEFAULT_TOL) -> CoinSpec:
-    obj, vector = _load_json(path, lambda data: _parse(
-        data, _COIN_LEVEL, lambda obj: obj["matrices"]))
+    obj, vector = _load_json(path, _COIN_LEVEL, lambda obj: [
+        c["entries"] for c in obj["matrices"]])
     m, n, kind = _fields(obj, "malformed coin file", "m", "n", "kind")
     _ints("coin m/n", m, n)
     if kind == "named":
@@ -459,9 +458,10 @@ def save_coin_spec(spec: CoinSpec, path) -> None:
 
 
 def load_state(path, tol: Tolerance = DEFAULT_TOL) -> WalkerState:
-    obj = _load_json(path)
+    """A state file's state; its amplitudes are read as a matrix's entries are."""
+    obj, vector = _load_json(path, _MATRIX_LEVEL, lambda obj: [obj["amplitudes"]])
     m, n, amps = _fields(obj, "malformed state file", "m", "n", "amplitudes")
-    amps = _complex_vector(amps, "state amplitudes")
+    amps = vector(amps, "state amplitudes")
     _ints("state m/n", m, n)
     return WalkerState(m, n, amps, tol)
 

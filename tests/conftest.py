@@ -40,6 +40,21 @@ def cycle_shift_grid(n: int) -> KrausGrid:
     return KrausGrid.from_permutation(2, n, np.concatenate([(v + 1) % n, n + (v - 1) % n]))
 
 
+def fourier_cycle_walk(c, shifts, psi0, t: int) -> np.ndarray:
+    """psi_t of the walk U = S (C x I_n) on the cycle C_n whose shift moves
+    coin a's amplitude from v to v + shifts[a] mod n, in Fourier space
+    (Ambainis, Bach, Nayak, Vishwanath and Watrous 2001): psi_t =
+    IFFT(U_k^t FFT psi_0), U_k = diag(exp(-2 pi i k s_a / n)) C, by one
+    matrix_power of the (n, m, m) stack. ``psi0`` is coin-major, m n long."""
+    c = np.asarray(c, dtype=np.complex128)
+    m = c.shape[0]
+    psi = np.fft.fft(np.asarray(psi0, dtype=np.complex128).reshape(m, -1), axis=1)
+    n = psi.shape[1]
+    phases = np.exp(-2j * np.pi * (np.outer(np.arange(n), shifts) % n) / n)  # (n, m)
+    u_t = np.linalg.matrix_power(phases[:, :, None] * c, t)
+    return np.fft.ifft(np.einsum("kab,bk->ak", u_t, psi), axis=1).reshape(-1)
+
+
 def hypercube_adjacency(bits: int) -> np.ndarray:
     """Adjacency matrix of the undirected hypercube graph on 2^bits
     vertices (both arc orientations present)."""

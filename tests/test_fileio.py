@@ -1,7 +1,9 @@
 import csv
+import functools
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import cycle_shift_grid, haar_unitary, matrix_obj, pair_list
 from qwalk import (
+    DEFAULT_TOL,
     Arc,
     CoinSpec,
     Edge,
@@ -17,6 +20,7 @@ from qwalk import (
     KrausGrid,
     MultiGraph,
     ProbabilityVector,
+    Tolerance,
     WalkerState,
     basis_state,
     coin_matrix,
@@ -711,3 +715,78 @@ class TestMatrixReader:
             {"n": 2, "arcs": [{"tail": 0, "head": 1, "w": [10 ** 400, 0]}]}))
         with pytest.raises(FileFormatError):
             fileio.load_graph(path)
+
+
+def read_state(path, tol=DEFAULT_TOL) -> np.ndarray:
+    return fileio.load_state(path, tol).amplitudes
+
+
+def state_text(text):
+    """A VERDICT_TEXTS text with a state's field names for a matrix's."""
+    if isinstance(text, bytes):
+        return state_text(text.decode("utf-16")).encode("utf-16")
+    for field, name in [("entries", "amplitudes"), ("rows", "m"), ("cols", "n")]:
+        text = text.replace(f'"{field}"', f'"{name}"')
+    return text
+
+
+# Amplitude parts: signed zeros, a subnormal and finite floats small enough
+# that a list of them has a finite norm.
+amplitude_parts = st.one_of(st.sampled_from([0.0, -0.0, 5e-324]),
+                            st.floats(-1e3, 1e3, allow_nan=False))
+
+
+class TestStateReader:
+    """A state's amplitudes are read through the zero-run collapse that
+    matrix, grid and coin files take."""
+
+    @pytest.mark.parametrize("tol", [DEFAULT_TOL, Tolerance(math.inf)],
+                             ids=["default-tol", "any-norm"])
+    @pytest.mark.parametrize("text", VERDICT_TEXTS)
+    def test_collapse_keeps_the_verdict(self, tmp_path, text, tol):
+        """With any norm accepted, the amplitudes of the texts that the
+        norm check refuses are compared too."""
+        path = tmp_path / "s.json"
+        write_text(path, state_text(text))
+        read = functools.partial(read_state, tol=tol)
+        assert outcome(read, path) == outcome(read_plain(read), path)
+
+    @given(st.lists(st.tuples(amplitude_parts, amplitude_parts), max_size=20),
+           st.sampled_from(GALLOP_RUNS), st.integers(0, 20), st.integers(1, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_round_trip_is_bit_equal(self, tmp_path_factory, parts, run, at, m):
+        parts[at:at] = [(0.0, 0.0)] * run
+        parts.append((1.0, -0.0))  # a nonzero norm
+        parts += [(0.0, 0.0)] * (-len(parts) % m)
+        amps = np.array(parts).view(np.complex128).reshape(-1)
+        s = WalkerState(m, amps.size // m, amps / np.linalg.norm(amps))
+        path = tmp_path_factory.mktemp("s") / "s.json"
+        fileio.save_state(s, path)
+        got = fileio.load_state(path)
+        assert (got.m, got.n) == (s.m, s.n)
+        assert got.amplitudes.tobytes() == s.amplitudes.tobytes()
+
+    def test_files_in_the_writers_layout_are_read_through_their_runs(
+            self, tmp_path, monkeypatch):
+        runs, expanded = [], fileio._expanded
+        monkeypatch.setattr(fileio, "_expanded", lambda entries, lengths, what: (
+            runs.append(lengths) or expanded(entries, lengths, what)))
+        s = basis_state(3, 8, 1, 7)
+        fileio.save_state(s, tmp_path / "s.json")
+        assert np.array_equal(read_state(tmp_path / "s.json"), s.amplitudes)
+        assert runs == [[15, 8]]
+
+    def test_a_saved_basis_state_loads_in_little_memory(self, tmp_path):
+        """3 * 10^5 amplitudes, one of them nonzero, peak under 20 MiB under
+        tracemalloc: the file is 7.2 MB, and json.loads of it whole builds
+        a Python list of 3 * 10^5 pairs, about 55 MiB at its peak."""
+        s = basis_state(3, 10 ** 5, 1, 7)
+        fileio.save_state(s, tmp_path / "s.json")
+        tracemalloc.start()
+        try:
+            got = read_state(tmp_path / "s.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20 * 2 ** 20
+        assert np.array_equal(got, s.amplitudes)

@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import cycle_adjacency, cycle_shift_grid, haar_unitary, right_shift
+from conftest import (
+    cycle_adjacency, cycle_shift_grid, fourier_cycle_walk, haar_unitary, right_shift)
 from qwalk import (
     DEFAULT_TOL,
     CoinSpec,
@@ -634,6 +635,37 @@ def test_hadamard_walk_spreads_ballistically():
     x = np.where(v < n // 2, v, v - n)
     assert abs(p @ x) <= 1e-12
     assert abs(p @ x ** 2 / t ** 2 - (1 - 1 / np.sqrt(2))) <= 2e-5
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 39), st.integers(0, 19))
+@settings(max_examples=60, deadline=None)
+def test_fourier_cycle_oracle_is_the_dense_walk_property(seed, m, n, t):
+    """A Haar coin and a shift that moves coin a from v to v + s_a mod n,
+    built by from_permutation with perm[a n + v] = a n + (v - s_a) mod n:
+    the Fourier oracle gives dense U^t psi_0."""
+    rng = np.random.default_rng(seed)
+    shifts = rng.integers(-n, n + 1, size=m)
+    perm = (np.arange(m)[:, None] * n + (np.arange(n) - shifts[:, None]) % n).reshape(-1)
+    c = haar_unitary(m, rng)
+    u = np.asarray(evolution(KrausGrid.from_permutation(m, n, perm), CoinSpec.global_coin(c, n)))
+    psi0 = random_state(m, n, rng).amplitudes
+    dense = np.linalg.matrix_power(u, t) @ psi0
+    assert max_norm(fourier_cycle_walk(c, shifts, psi0, t) - dense) <= 1e-12
+
+
+def test_factored_hadamard_walk_on_c2048_is_the_fourier_oracle():
+    """10^3 factored steps of the Hadamard walk on C_2048, whose coin-0
+    block moves v to v - 1 and coin-1 block to v + 1 (cycle_shift_grid)."""
+    n, t = 2048, 1000
+    c = named_coin("hadamard", 2)
+    u = evolution(cycle_shift_grid(n), CoinSpec.global_coin(c, n))
+    amps = np.zeros(2 * n, dtype=np.complex128)
+    amps[[0, n]] = np.array([1, 1j]) / np.sqrt(2)
+    with factored_steps() as calls:
+        got = evolve(u, WalkerState(2, n, amps), t).amplitudes
+    assert len(calls) == t
+    # A fixed tolerance until ROADMAP item 17's certified rounding bound replaces it.
+    assert max_norm(got - fourier_cycle_walk(c, [-1, 1], amps, t)) <= 1e-12
 
 
 class TestFactoredOperator:

@@ -6,7 +6,7 @@ vector is m stacked position subvectors of length n.
 
 A multi-step call (``evolve``, ``classical_walk``) steps plain arrays and
 checks only the value it returns; ``step`` and ``classical_trajectory``
-check each value they return.
+check each value they return. Both classical walks step one loop.
 """
 
 from collections.abc import Iterator
@@ -172,35 +172,35 @@ def _transition_arcs(a) -> tuple[int, np.ndarray, np.ndarray, np.ndarray]:
     return n, tail, head, weight.real / degrees[tail]
 
 
-def _classical_arcs(a, p0: ProbabilityVector, t: int):
-    """``_transition_arcs(a)``, once t and the length of p0 are checked."""
+def _classical_steps(a, p0: ProbabilityVector, t: int) -> Iterator[NDArray[np.float64]]:
+    """p0.probs, then the arrays after 1, ..., t steps of the update rule P <- M^T P,
+    each a gather over the arcs of M in O(n + nnz): both classical walks' one loop."""
     if t < 0:
         raise PreconditionError("step count must be nonnegative")
     n, tail, head, weight = _transition_arcs(a)
     if n != p0.n:
         raise PreconditionError(f"adjacency dimension {n} does not match p0 length {p0.n}")
-    return n, tail, head, weight
+    p = p0.probs
+    yield p
+    for _ in range(t):
+        p = np.bincount(head, weight * p[tail], n)
+        yield p
 
 
 def classical_trajectory(a: ComplexMatrix | MultiGraph, p0: ProbabilityVector,
                          t: int) -> Iterator[ProbabilityVector]:
-    """Yield the distributions after 0, 1, ..., t steps of the update
-    rule P <- M^T P, each a gather over the arcs of M in O(n + nnz). They
-    are not checked for their sum: rounding drift must not abort a walk."""
-    n, tail, head, weight = _classical_arcs(a, p0, t)
-    yield p0
-    for _ in range(t):
-        p0 = ProbabilityVector(np.bincount(head, weight * p0.probs[tail], n), None)
-        yield p0
+    """Yield p0 itself, then each later distribution of the loop that
+    ``classical_walk`` runs, checked for NaN/Inf but not for its sum:
+    rounding drift must not abort a walk."""
+    for i, p in enumerate(_classical_steps(a, p0, t)):
+        yield ProbabilityVector(p, None) if i else p0
 
 
 def classical_walk(a: ComplexMatrix | MultiGraph, p0: ProbabilityVector,
                    t: int) -> ProbabilityVector:
-    """Distribution after t steps of the update rule P <- M^T P, the last
-    that ``classical_trajectory`` yields. Only that one is checked: the
-    weights are nonzero, so a NaN/Inf never turns finite again."""
-    n, tail, head, weight = _classical_arcs(a, p0, t)
-    p = p0.probs
-    for _ in range(t):
-        p = np.bincount(head, weight * p[tail], n)
+    """Distribution after t steps, the last of the loop that
+    ``classical_trajectory`` yields and the only one checked: the weights
+    are nonzero, so a NaN/Inf never turns finite again."""
+    for p in _classical_steps(a, p0, t):
+        pass
     return ProbabilityVector(p, None)

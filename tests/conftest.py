@@ -18,17 +18,16 @@ def cycle_adjacency(n: int) -> np.ndarray:
     """Adjacency matrix of the directed 2-regular cycle C_n (both
     orientations)."""
     a = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        a[i, (i + 1) % n] = 1
-        a[i, (i - 1) % n] = 1
+    v = np.arange(n)
+    a[v, (v + 1) % n] = a[v, (v - 1) % n] = 1
     return a
 
 
 def right_shift(n: int) -> np.ndarray:
     """Cyclic permutation with entry (i+1 mod n, i) = 1."""
     r = np.zeros((n, n), dtype=np.complex128)
-    for i in range(n):
-        r[(i + 1) % n, i] = 1
+    v = np.arange(n)
+    r[(v + 1) % n, v] = 1
     return r
 
 
@@ -38,6 +37,13 @@ def cycle_shift_grid(n: int) -> KrausGrid:
     (S x)[v] is x[v + 1] on coin 0 and x[v - 1] on coin 1."""
     v = np.arange(n)
     return KrausGrid.from_permutation(2, n, np.concatenate([(v + 1) % n, n + (v - 1) % n]))
+
+
+def hypercube_shift_grid(d: int) -> KrausGrid:
+    """The shift of the hypercube Z_2^d, m = d coins and n = 2^d vertices, in
+    permutation form: (S x)[a n + v] is x[a n + (v ^ 2^a)], an involution."""
+    n, a = 1 << d, np.arange(d)[:, None]
+    return KrausGrid.from_permutation(d, n, (a * n + (np.arange(n) ^ (1 << a))).reshape(-1))
 
 
 def fourier_cycle_walk(c, shifts, psi0, t: int) -> np.ndarray:
@@ -55,14 +61,37 @@ def fourier_cycle_walk(c, shifts, psi0, t: int) -> np.ndarray:
     return np.fft.ifft(np.einsum("kab,bk->ak", u_t, psi), axis=1).reshape(-1)
 
 
+def _walsh(x) -> np.ndarray:
+    """The unnormalized Walsh-Hadamard transform of each row of the (d, 2^d)
+    array x, by d butterfly passes over its (d, 2, ..., 2) view."""
+    d = x.shape[0]
+    y = x.reshape((d,) + (2,) * d)
+    for axis in range(1, d + 1):
+        lo, hi = np.split(y, 2, axis=axis)
+        y = np.concatenate([lo + hi, lo - hi], axis=axis)
+    return y.reshape(d, -1)
+
+
+def walsh_hypercube_walk(c, psi0, t: int) -> np.ndarray:
+    """psi_t of the walk U = S (C x I_n) on the hypercube Z_2^d, with m = d
+    coins and n = 2^d vertices, whose shift moves coin a's amplitude from v
+    to v ^ 2^a, in the Walsh basis (Moore and Russell 2002; Kempe 2005):
+    psi_t = WHT^-1(U_k^t WHT psi_0), U_k = diag((-1)^{k_a}) C, by one
+    matrix_power of the (n, m, m) stack. ``psi0`` is coin-major, m n long."""
+    c = np.asarray(c, dtype=np.complex128)
+    d = c.shape[0]
+    psi = _walsh(np.asarray(psi0, dtype=np.complex128).reshape(d, -1))
+    signs = 1 - 2 * (np.arange(1 << d)[:, None] >> np.arange(d) & 1)  # (n, m)
+    u_t = np.linalg.matrix_power(signs[:, :, None] * c, t)
+    return _walsh(np.einsum("kab,bk->ak", u_t, psi)).reshape(-1) / (1 << d)
+
+
 def hypercube_adjacency(bits: int) -> np.ndarray:
     """Adjacency matrix of the undirected hypercube graph on 2^bits
     vertices (both arc orientations present)."""
-    n = 1 << bits
-    a = np.zeros((n, n), dtype=np.complex128)
-    for v in range(n):
-        for b in range(bits):
-            a[v, v ^ (1 << b)] = 1
+    v = np.arange(1 << bits)[:, None]
+    a = np.zeros((v.size, v.size), dtype=np.complex128)
+    a[v, v ^ (1 << np.arange(bits))] = 1
     return a
 
 

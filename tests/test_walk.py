@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conftest import (
-    cycle_adjacency, cycle_shift_grid, fourier_cycle_walk, haar_unitary, right_shift)
+    cycle_adjacency, cycle_shift_grid, fourier_cycle_walk, haar_unitary, hypercube_shift_grid,
+    right_shift, walsh_hypercube_walk)
 from qwalk import (
     DEFAULT_TOL,
     CoinSpec,
@@ -666,6 +667,47 @@ def test_factored_hadamard_walk_on_c2048_is_the_fourier_oracle():
     assert len(calls) == t
     # A fixed tolerance until ROADMAP item 17's certified rounding bound replaces it.
     assert max_norm(got - fourier_cycle_walk(c, [-1, 1], amps, t)) <= 1e-12
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(0, 19))
+@settings(max_examples=60, deadline=None)
+def test_walsh_hypercube_oracle_is_the_dense_walk_property(seed, d, t):
+    """A Haar coin and the hypercube's shift, which moves coin a from v to
+    v ^ 2^a (hypercube_shift_grid): the Walsh oracle gives dense U^t psi_0."""
+    rng = np.random.default_rng(seed)
+    c = haar_unitary(d, rng)
+    u = np.asarray(evolution(hypercube_shift_grid(d), CoinSpec.global_coin(c, 1 << d)))
+    psi0 = random_state(d, 1 << d, rng).amplitudes
+    dense = np.linalg.matrix_power(u, t) @ psi0
+    assert max_norm(walsh_hypercube_walk(c, psi0, t) - dense) <= 1e-12
+
+
+def test_grover_walk_crosses_the_hypercube_q14():
+    """Kempe (2005), "Discrete quantum walks hit exponentially faster": from
+    vertex 0 with a uniform coin, the Grover walk on Q_14 finds the opposite
+    corner n - 1 with probability above 0.85 within ceil(pi d / 2) = 22 steps,
+    while the classical walk on the same n d arcs stays below 1e-4 there."""
+    d = 14
+    n, t = 1 << d, int(np.ceil(np.pi * d / 2))
+    c = named_coin("grover", d)
+    u = evolution(hypercube_shift_grid(d), CoinSpec.global_coin(c, n))
+    amps = np.zeros(d * n, dtype=np.complex128)
+    amps[::n] = 1 / np.sqrt(d)
+    s, quantum = WalkerState(d, n, amps), []
+    with factored_steps() as calls:
+        for _ in range(t):
+            s = step(u, s)
+            quantum.append(measure_position(s).probs[-1])
+    assert len(calls) == t
+    tail = np.repeat(np.arange(n), d)
+    g = MultiGraph.from_columns(n, tail, tail ^ np.tile(1 << np.arange(d), n),
+                                np.ones(n * d), np.full(n * d, -1))
+    p0 = ProbabilityVector(np.eye(1, n).reshape(-1))
+    classical = [p.probs[-1] for p in classical_trajectory(g, p0, t)]
+    assert max(quantum) > 0.85
+    assert max(classical) < 1e-4
+    # A fixed tolerance until ROADMAP item 17's certified rounding bound replaces it.
+    assert max_norm(s.amplitudes - walsh_hypercube_walk(c, amps, t)) <= 1e-12
 
 
 class TestFactoredOperator:
